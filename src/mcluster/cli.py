@@ -21,7 +21,7 @@ from .cluster import (
     normalize_to_Dminus,
 )
 from .derived import DerivedModel, DVertex
-from .endo import endo_dims, factor_dims, verify_factor_theorem
+from .endo import endo_dims, verify_factor_theorem
 from .errors import CliqueCapExceeded, MClusterError, QuiverError
 from .localise import localise_object
 from .quiver import (
@@ -60,9 +60,12 @@ def parse_window(text):
         return None
     try:
         lo, hi = text.split(":")
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"--window expects LO:HI, got {text!r}") from None
+    if lo > hi:
+        raise UsageError(f"--window {text}: LO must not exceed HI")
+    return (lo, hi)
 
 
 def parse_object_name(model: DerivedModel, name: str) -> DVertex:
@@ -70,7 +73,10 @@ def parse_object_name(model: DerivedModel, name: str) -> DVertex:
     shift = 0
     if name.endswith("]"):
         base, _, rest = name.partition("[")
-        shift = int(rest[:-1])
+        try:
+            shift = int(rest[:-1])
+        except ValueError:
+            raise UsageError(f"cannot parse the shift of {name!r}") from None
         name = base
     dim = parse_dim_str(model.quiver, name)
     try:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arquiver import ARQuiver, ARVertex, knit_module_category
+from .arquiver import ARQuiver, ARVertex
 from .derived import DerivedModel, DVertex, _vkey
 from .errors import CliqueCapExceeded, InternalCheckError, WindowOverflow
-from .quiver import Quiver, make_quiver
 
 
 @dataclass(frozen=True)
@@ -340,50 +339,6 @@ def slice_degree(model: DerivedModel, slice_vertices, x: DVertex) -> int | None:
 
 
 @dataclass
-class SliceWorld:
-    """A derived-equivalent algebra H0 cut out by a slice, with its own model."""
-
-    slice_vertices: tuple[DVertex, ...]
-    quiver: Quiver
-    model: DerivedModel
-
-    def locate(self, parent: DerivedModel, x: DVertex, d: int) -> DVertex:
-        """The vertex of this world matching x at slice degree d."""
-        y = DVertex(x.module, x.shift - d)
-        dim = tuple(parent.hom(s, y) for s in self.slice_vertices)
-        try:
-            return DVertex(self.model.ar.by_dim[dim], d)
-        except KeyError:
-            raise InternalCheckError(
-                f"{x} maps to dimension vector {dim}, which is not a module "
-                "over the slice algebra"
-            ) from None
-
-
-def build_slice_world(model: DerivedModel, slice_vertices) -> SliceWorld:
-    key = tuple(sorted(slice_vertices, key=_vkey))
-    cached = model._slice_worlds.get(key)
-    if cached is not None:
-        return cached
-    reps = sorted(slice_vertices, key=_vkey)
-    labels = [str(i + 1) for i in range(len(reps))]
-    pos = {v: i for i, v in enumerate(reps)}
-    arrows = []
-    for v in reps:
-        for w in model.out[v]:
-            if w in pos:
-                # AR arrow P(b) -> P(a) corresponds to quiver arrow a -> b
-                arrows.append((labels[pos[w]], labels[pos[v]]))
-    q = make_quiver(labels, arrows)
-    ar = knit_module_category(q)
-    world = DerivedModel(ar, model.m, model.window)
-    ordered = tuple(sorted(reps, key=lambda v: labels[pos[v]]))
-    sw = SliceWorld(slice_vertices=ordered, quiver=q, model=world)
-    model._slice_worlds[key] = sw
-    return sw
-
-
-@dataclass
 class NormalizedObject:
     """A maximal m-rigid object repositioned so all summands have degree
     below m, possibly over a derived-equivalent algebra."""
@@ -437,14 +392,15 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
         if len(mapping) != len(t):
             continue
 
-        world = build_slice_world(model, sl)
+        alg = model.algebra_of_projectives(sl)
         sw_map = {
-            x: world.locate(model, y, d) for x, (y, d) in mapping.items()
+            x: DVertex(alg.module(DVertex(y.module, y.shift - d)), d)
+            for x, (y, d) in mapping.items()
         }
         new_t = frozenset(sw_map.values())
         if len(new_t) != len(t):
             raise InternalCheckError("normalization collapsed two summands")
-        g = compatibility_graph(world.model)
+        g = compatibility_graph(alg.model)
         if not g.is_clique(new_t):
             raise InternalCheckError("normalized object is not m-rigid")
         if any(
@@ -455,8 +411,8 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
         ):
             raise InternalCheckError("normalized object is not maximal")
         return NormalizedObject(
-            slice_vertices=world.slice_vertices,
-            world=world.model,
+            slice_vertices=alg.projectives,
+            world=alg.model,
             summands=new_t,
             mapping=sw_map,
             identity=False,

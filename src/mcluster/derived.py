@@ -13,10 +13,11 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .arquiver import ARQuiver, ARVertex
+from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .errors import InternalCheckError, WindowOverflow
+from .quiver import Quiver, make_quiver
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,24 @@ def degree(x: DVertex) -> int:
     return x.shift
 
 
+@dataclass(frozen=True)
+class ProjectiveAlgebra:
+    """A hereditary algebra given by window objects as its projectives, with
+    its own window model; `projectives[i]` is P(quiver.labels[i])."""
+
+    quiver: Quiver
+    model: "DerivedModel"
+    projectives: tuple[DVertex, ...]
+    parent: "DerivedModel" = field(repr=False, compare=False)
+
+    def module(self, u: DVertex) -> ARVertex:
+        """The module over this algebra with dimension vector Hom(P, u)."""
+        dim = tuple(self.parent.hom(p, u) for p in self.projectives)
+        if dim not in self.model.ar.by_dim:
+            raise InternalCheckError(f"no module has dimension vector Hom(P, {u}) = {dim}")
+        return self.model.ar.by_dim[dim]
+
+
 class DerivedModel:
     """The window model: AR-quiver of mod H, a value of m, and a shift window."""
 
@@ -132,7 +151,7 @@ class DerivedModel:
         self._graph = None
         self._fd = None
         self._slices = None
-        self._slice_worlds: dict[tuple, object] = {}
+        self._algebras: dict[tuple[DVertex, ...], ProjectiveAlgebra] = {}
 
     def mesh_category(self):
         if self._mesh_cat is None:
@@ -140,6 +159,43 @@ class DerivedModel:
 
             self._mesh_cat = MeshCategory(self)
         return self._mesh_cat
+
+    def algebra_of_projectives(self, reps) -> ProjectiveAlgebra:
+        """The hereditary algebra H0 whose projectives are the Hom-directed
+        bricks reps (a slice, or the projectives of a perpendicular category).
+
+        In _vkey order reps[a] becomes P(a+1).  The Cartan matrix
+        C[a][b] = dim Hom(P(b), P(a)) counts paths a -> b, and is
+        unitriangular by directedness; H0 is hereditary, so its arrow matrix
+        is I - C^-1, found row by row by forward substitution.
+        """
+        reps = tuple(sorted(reps, key=_vkey))
+        hit = self._algebras.get(reps)
+        if hit is not None:
+            return hit
+        k = len(reps)
+        # zero-padded so that the lexicographic Quiver.labels order is reps order
+        labels = [str(a + 1).zfill(len(str(k))) for a in range(k)]
+        inv: list[list[int]] = []  # rows of C^-1
+        arrows = []
+        for a, pa in enumerate(reps):
+            row = [self.hom(pb, pa) for pb in reps]
+            if row[a] != 1 or any(row[a + 1:]):
+                raise InternalCheckError(f"Cartan matrix of {reps} is not unitriangular")
+            inv.append(
+                [(a == b) - sum(row[c] * inv[c][b] for c in range(a)) for b in range(k)]
+            )
+            counts = [(a == b) - x for b, x in enumerate(inv[a])]
+            if min(counts) < 0:
+                raise InternalCheckError(f"I - C^-1 has a negative entry for {reps}")
+            for b, count in enumerate(counts):
+                arrows += [(labels[a], labels[b])] * count
+        q = make_quiver(labels, arrows, connected=False) if k else Quiver((), ())
+        alg = ProjectiveAlgebra(
+            q, DerivedModel(knit_module_category(q), self.m, self.window), reps, self
+        )
+        self._algebras[reps] = alg
+        return alg
 
     def _add_arrow(self, a: DVertex, b: DVertex):
         self.out[a].append(b)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arquiver import ARVertex, knit_module_category
+from .arquiver import ARVertex
 from .cluster import compatibility_graph
 from .derived import DerivedModel, DObject, DVertex, _vkey
 from .errors import InternalCheckError, WindowOverflow
 from .meshcat import ApproxTriangle, minimal_right_approximation
-from .quiver import Quiver, make_quiver
+from .quiver import Quiver
 
 
 @dataclass
@@ -54,11 +54,11 @@ def is_in_D0(model: DerivedModel, u: DVertex, M: DVertex) -> bool:
 
 
 def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
-    """Compute U_M, its projectives, the algebra H' and a fresh H' model.
+    """Compute U_M, its projectives, the algebra H' and its window model.
 
-    H' is the Gabriel quiver of the endomorphism algebra of the sum of the
-    projectives of U_M: arrows are counted by rad/rad^2 of the Hom spaces
-    among them, composed in the mesh category.
+    H' is the algebra of the projectives of U_M (their endomorphism algebra
+    up to opposites); its module for u in U_M has dimension vector
+    Hom(projectives, u).
     """
     base = M.module
     cached = model._perp_cache.get(base)
@@ -80,60 +80,25 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
             f"{len(projs)} perpendicular projectives, expected {ar.n - 1}"
         )
 
-    mesh = model.mesh_category()
-    reps = sorted((DVertex(p, 0) for p in projs), key=_vkey)
-    labels = [str(i + 1) for i in range(len(reps))]
-    arrows = []
-    for a, pa in enumerate(reps):
-        for b, pb in enumerate(reps):
-            if a == b:
-                continue
-            full = model.hom(pb, pa)
-            if full == 0:
-                continue
-            through = [r for r in reps if r not in (pa, pb)]
-            radsq = mesh.factoring_dim(pb, pa, through)
-            count = full - radsq
-            if count < 0:
-                raise InternalCheckError("negative arrow count in H'")
-            # quiver arrow a -> b matches the AR arrow P(b) -> P(a)
-            for _ in range(count):
-                arrows.append((labels[a], labels[b]))
-    q = Quiver((), ()) if not projs else make_quiver(labels, arrows, connected=False)
-    prime_ar = knit_module_category(q)
-    prime_model = DerivedModel(prime_ar, model.m, model.window)
-
-    module_map = {}
-    for u in members:
-        dim = tuple(ar.hom(p, u) for p in projs)
-        try:
-            module_map[u] = prime_ar.by_dim[dim]
-        except KeyError:
-            raise InternalCheckError(
-                f"perpendicular module {u} has no H' counterpart (dim {dim})"
-            ) from None
+    alg = model.algebra_of_projectives(DVertex(p, 0) for p in projs)
+    module_map = {u: alg.module(DVertex(u, 0)) for u in members}
     if len(set(module_map.values())) != len(members) or len(members) != len(
-        prime_ar.vertices
+        alg.model.ar.vertices
     ):
         raise InternalCheckError("U_M does not match mod H'")
 
     lo, hi = model.window
     d0 = sorted(
-        (
-            DVertex(u, i)
-            for u in members
-            for i in range(lo, hi + 1)
-        ),
-        key=lambda v: (v.shift, v.module.slice_index, v.module.name),
+        (DVertex(u, i) for u in members for i in range(lo, hi + 1)), key=_vkey
     )
     pd = PerpendicularData(
         M=M,
         base_module=base,
         model=model,
         U_members=members,
-        projectives_of_U=projs,
-        H_prime=q,
-        prime_model=prime_model,
+        projectives_of_U=tuple(p.module for p in alg.projectives),
+        H_prime=alg.quiver,
+        prime_model=alg.model,
         module_map=module_map,
         d0_order=tuple(d0),
     )

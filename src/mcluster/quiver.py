@@ -273,8 +273,10 @@ def dim_str(vec) -> str:
 def parse_dim_str(q: Quiver, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        parts = text[1:-1].split(",")
-        vec = tuple(int(p) for p in parts)
+        try:
+            vec = tuple(int(p) for p in text[1:-1].split(","))
+        except ValueError:
+            raise MalformedInput(f"cannot parse dimension vector {text!r}") from None
     else:
         if not text.isdigit():
             raise MalformedInput(f"cannot parse dimension vector {text!r}")

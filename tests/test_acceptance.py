@@ -27,6 +27,13 @@ GRID = (
 
 ALL_PRESETS = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "D6", "E6"]
 
+A3_ORIENTATIONS = [
+    [("1", "2"), ("2", "3")],
+    [("2", "1"), ("2", "3")],
+    [("1", "2"), ("3", "2")],
+    [("2", "1"), ("3", "2")],
+]
+
 
 def _report(name, ok, detail=""):
     line = f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
@@ -119,12 +126,7 @@ def test_criterion_5_tilting_embedding(world):
     checked = 0
     orientations = {
         "A2": [[("1", "2")], [("2", "1")]],
-        "A3": [
-            [("1", "2"), ("2", "3")],
-            [("2", "1"), ("2", "3")],
-            [("1", "2"), ("3", "2")],
-            [("2", "1"), ("3", "2")],
-        ],
+        "A3": A3_ORIENTATIONS,
     }
     linear_counts = {"A2": 2, "A3": 5}
     for name, opts in orientations.items():
@@ -151,43 +153,64 @@ def test_criterion_5_tilting_embedding(world):
     )
 
 
+_LOCAL_MODELS = {}
+
+
+def _local_grid(world, presets):
+    """Models of the given presets, of A4 and D4 at m = 1, and of the three
+    other orientations of A3 at m <= 2."""
+    for name, m in list(presets) + [("A4", 1), ("D4", 1)]:
+        yield world(name, m)
+    for idx, arrows in enumerate(A3_ORIENTATIONS[1:]):
+        for m in (1, 2):
+            if (idx, m) not in _LOCAL_MODELS:
+                q = make_quiver(["1", "2", "3"], arrows)
+                _LOCAL_MODELS[idx, m] = DerivedModel(knit_module_category(q), m)
+            yield _LOCAL_MODELS[idx, m]
+
+
+def _normalized_pairs(mod):
+    """Every (normalized object, summand) pair of the maximal objects."""
+    for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
+        norm = normalize_to_Dminus(mod, o.summands)
+        for M in sorted(norm.summands, key=lambda u: u.name()):
+            yield norm, M
+
+
 def test_criterion_6_localisation(world):
     ok = True
     runs = 0
-    for m in (1, 2):
-        mod = world("A3", m)
-        g, objs = _objs(world, "A3", m)
-        for o in objs:
-            norm = normalize_to_Dminus(mod, o.summands)
-            for M in sorted(norm.summands, key=lambda u: u.name()):
-                # localise_object itself asserts: images indecomposable and
-                # distinct, inside the H' fundamental domain, and maximal
-                # m-rigid against the independently built H' graph
-                loc = localise_object(norm.world, norm.summands, M)
-                runs += 1
-                if len(loc.prime_summands) != g.n - 1:
-                    ok = False
-    _report("criterion-6 localisation suite", ok, f"{runs} localisations on A3, m <= 2")
+    for mod in _local_grid(world, [("A3", 1), ("A3", 2)]):
+        for norm, M in _normalized_pairs(mod):
+            # localise_object itself asserts: images indecomposable and
+            # distinct, inside the H' fundamental domain, and maximal
+            # m-rigid against the independently built H' graph
+            loc = localise_object(norm.world, norm.summands, M)
+            runs += 1
+            if len(loc.prime_summands) != mod.quiver.n - 1:
+                ok = False
+    _report(
+        "criterion-6 localisation suite",
+        ok,
+        f"{runs} localisations on A3 (all orientations, m <= 2), A4 and D4 (m = 1)",
+    )
 
 
 def test_criterion_7_factor_theorem(world):
     ok = True
     runs = 0
-    for name in ("A2", "A3"):
-        for m in (1, 2):
-            mod = world(name, m)
-            g, objs = _objs(world, name, m)
-            for o in objs:
-                norm = normalize_to_Dminus(mod, o.summands)
-                for M in sorted(norm.summands, key=lambda u: u.name()):
-                    rep = verify_factor_theorem(norm.world, norm.summands, M)
-                    runs += 1
-                    if not (rep.dims_agree and rep.arrows_agree):
-                        ok = False
+    presets = [(name, m) for name in ("A2", "A3") for m in (1, 2)]
+    for mod in _local_grid(world, presets):
+        for norm, M in _normalized_pairs(mod):
+            rep = verify_factor_theorem(norm.world, norm.summands, M)
+            runs += 1
+            if not (rep.dims_agree and rep.arrows_agree):
+                ok = False
     _report(
         "criterion-7 factor theorem",
         ok,
-        f"{runs} (object, summand) pairs on A2/A3, m <= 2",
+        f"{runs} (object, summand) pairs on A2/A3 (all A3 orientations), "
+        "m <= 2, and A4/D4, m = 1",
     )
 
 

@@ -160,3 +160,16 @@ def test_window_flag():
     assert out.returncode == 0
     out = run_cli("fd", "A2", "--m", "1", "--window", "0:6", "--json")
     assert out.returncode == 0 and json.loads(out.stdout)["count"] == 5
+
+
+def test_bad_object_names_are_usage_errors():
+    for bad in ("11[x]", "(1,x)", "11["):
+        out = run_cli("hom", "A2", "--from", bad, "--to", "10")
+        assert out.returncode == 2, bad
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_reversed_window_is_usage_error():
+    out = run_cli("fd", "A2", "--m", "1", "--window", "3:1")
+    assert out.returncode == 2
+    assert "--window" in out.stderr

@@ -1,7 +1,9 @@
 import pytest
 
+from mcluster.cluster import enumerate_slices
 from mcluster.derived import DObject, DVertex, degree
 from mcluster.errors import WindowOverflow
+from mcluster.localise import perpendicular_algebra
 
 PRESETS_M = [("A1", 1), ("A2", 1), ("A2", 2), ("A3", 1), ("A3", 2), ("D4", 1)]
 
@@ -128,3 +130,52 @@ def test_orbit_single_term_for_m_at_least_2(world, name, m):
                     # both arguments stay in the domain, so only t in {0,1}
                     # can contribute
                     assert terms[-1] == 0
+
+
+def _arrow_counts(alg):
+    labels = alg.quiver.labels
+    counts = [[0] * len(labels) for _ in labels]
+    for s, t in alg.quiver.arrows:
+        counts[labels.index(s)][labels.index(t)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_perpendicular_arrows_match_mesh_radical(world, name):
+    # oracle: arrows a -> b of H' are dim Hom(P(b), P(a)) modulo the maps
+    # that factor through the other projectives in the mesh category, listed
+    # row by row
+    mod = world(name, 1)
+    mesh = mod.mesh_category()
+    for v in mod.ar.vertices:
+        pd = perpendicular_algebra(mod, DVertex(v, 0))
+        alg = mod.algebra_of_projectives(DVertex(p, 0) for p in pd.projectives_of_U)
+        assert alg.quiver is pd.H_prime and alg.model is pd.prime_model
+        reps, labels = alg.projectives, alg.quiver.labels
+        expected = []
+        for a, pa in enumerate(reps):
+            for b, pb in enumerate(reps):
+                if a == b:
+                    continue
+                through = [r for r in reps if r not in (pa, pb)]
+                count = mod.hom(pb, pa) - mesh.factoring_dim(pb, pa, through)
+                expected += [(labels[a], labels[b])] * count
+        assert alg.quiver.arrows == tuple(expected)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4"])
+def test_slice_arrows_match_ar_arrows(world, name):
+    # oracle: an AR arrow P(b) -> P(a) between slice vertices is an arrow
+    # a -> b of the slice algebra
+    mod = world(name, 1)
+    slices = enumerate_slices(mod)
+    assert slices
+    for sl in slices:
+        alg = mod.algebra_of_projectives(sl)
+        pos = {v: i for i, v in enumerate(alg.projectives)}
+        expected = [[0] * len(sl) for _ in sl]
+        for v in sl:
+            for w in mod.out[v]:
+                if w in pos:
+                    expected[pos[w]][pos[v]] += 1
+        assert _arrow_counts(alg) == expected

@@ -6,7 +6,7 @@ from mcluster.cluster import (
     enumerate_maximal_m_rigid,
     normalize_to_Dminus,
 )
-from mcluster.derived import DObject, DVertex
+from mcluster.derived import DObject, DVertex, _vkey
 from mcluster.localise import (
     approximation_triangle,
     find_left_replacements,
@@ -69,12 +69,27 @@ def test_perpendicular_can_be_disconnected():
     assert sorted(u.name for u in pd.U_members) == ["001", "100"]
 
 
-@pytest.mark.parametrize("name,m", [("A2", 1), ("A3", 1), ("A3", 2)])
+@pytest.mark.parametrize(
+    "name,m",
+    [("A2", 1), ("A3", 1), ("A3", 2), ("A4", 1), ("A5", 1), ("D4", 1), ("D5", 1)],
+)
 def test_perpendicular_count_always_n_minus_1(world, name, m):
     mod = world(name, m)
     for v in mod.ar.vertices:
         pd = perpendicular_algebra(mod, DVertex(v, 0))
         assert pd.H_prime.n == mod.quiver.n - 1
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_perpendicular_projectives_keep_their_labels(world, name):
+    # the H' vertex a+1 belongs to the a-th projective of U_M in directed
+    # order, so the image of that projective is P(a+1) over H'
+    mod = world(name, 1)
+    for v in mod.ar.vertices:
+        pd = perpendicular_algebra(mod, DVertex(v, 0))
+        reps = sorted(pd.projectives_of_U, key=lambda p: _vkey(DVertex(p, 0)))
+        for a, p in enumerate(reps):
+            assert pd.module_map[p] is pd.prime_model.ar.projectives[str(a + 1)]
 
 
 def test_project_idempotent_and_kills_M(world):
