@@ -6,7 +6,7 @@ orbit category, enumerates maximal m-rigid objects, localises at rigid
 summands, and verifies the structural theorems exhaustively at small rank.
 """
 
-from .arquiver import ARQuiver, ARVertex, knit_module_category, tau_module
+from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .cluster import (
     CompatibilityGraph,
     FundamentalDomain,
@@ -16,13 +16,12 @@ from .cluster import (
     complements,
     enumerate_maximal_m_rigid,
     enumerate_slices,
-    ext_cluster,
     fundamental_domain,
     is_m_cluster_tilting,
     normalize_to_Dminus,
     tilting_modules,
 )
-from .derived import DerivedModel, DObject, DVertex, degree
+from .derived import DerivedModel, DObject, DVertex
 from .endo import (
     EndoAlgebraData,
     endo_dims,
@@ -44,9 +43,6 @@ from .localise import (
     LocalisedObject,
     PerpendicularData,
     approximation_triangle,
-    find_left_replacement,
-    find_left_replacements,
-    is_in_D0,
     localise_object,
     perpendicular_algebra,
     project_to_D0,
@@ -54,10 +50,7 @@ from .localise import (
 from .meshcat import (
     ApproxTriangle,
     MeshCategory,
-    minimal_left_approximation,
     minimal_right_approximation,
-    verify_approximation,
-    verify_minimality,
 )
 from .quiver import (
     PRESET_NAMES,

@@ -47,7 +47,6 @@ class ARQuiver:
         self.by_dim: dict[tuple[int, ...], ARVertex] = {}
         self.projectives: dict[str, ARVertex] = {}
         self.injectives: dict[str, ARVertex] = {}
-        self._order: dict[ARVertex, int] = {}
         self._hom_cache: dict[ARVertex, dict[ARVertex, int]] = {}
 
     @property
@@ -58,7 +57,6 @@ class ARQuiver:
         if v.dim in self.by_dim:
             raise InternalCheckError(f"duplicate dimension vector {v.dim}")
         self.by_dim[v.dim] = v
-        self._order[v] = len(self.vertices)
         self.vertices.append(v)
         self.out[v] = []
         self.inn[v] = []
@@ -67,9 +65,6 @@ class ARQuiver:
         self.arrows.append((src, dst))
         self.out[src].append(dst)
         self.inn[dst].append(src)
-
-    def vertex(self, dim) -> ARVertex:
-        return self.by_dim[tuple(dim)]
 
     # --- Hom and Ext dimensions ------------------------------------------
 
@@ -217,10 +212,3 @@ def knit_module_category(q: Quiver) -> ARQuiver:
     if len(ar.injectives) != q.n:
         raise InternalCheckError("wrong number of injectives")
     return ar
-
-
-def tau_module(ar: ARQuiver, v: ARVertex) -> ARVertex | None:
-    """The AR translate of v, or None when v is projective."""
-    if v not in ar._order:
-        raise KeyError(f"{v} is not a vertex of this AR-quiver")
-    return ar.tau.get(v)

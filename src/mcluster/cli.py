@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 resource cap hit.  Machine output sits behind --json; the default output
-is a short human-readable rendering of the same data.
+3 resource limit hit (the clique cap, or an object outside the shift
+window).  Machine output sits behind --json; the default output is a short
+human-readable rendering of the same data.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .cluster import (
 )
 from .derived import DerivedModel, DVertex
 from .endo import endo_dims, verify_factor_theorem
-from .errors import CliqueCapExceeded, MClusterError, QuiverError
+from .errors import CliqueCapExceeded, MClusterError, QuiverError, WindowOverflow
 from .localise import localise_object
 from .quiver import (
     PRESET_NAMES,
@@ -88,6 +89,16 @@ def parse_object_name(model: DerivedModel, name: str) -> DVertex:
 
 def parse_object_list(model, text):
     return [parse_object_name(model, part) for part in text.split(",") if part.strip()]
+
+
+def parse_domain_object(model, g, text) -> frozenset:
+    """The summands of --object, each checked to lie in the fundamental domain."""
+    summands = parse_object_list(model, text)
+    try:
+        g.mask(summands)
+    except ValueError as exc:
+        raise UsageError(f"--object {text}: {exc}") from None
+    return frozenset(summands)
 
 
 def build_model(args) -> tuple[DerivedModel, str]:
@@ -220,11 +231,11 @@ def cmd_enumerate(args):
 def cmd_complements(args):
     model, name = build_model(args)
     g = compatibility_graph(model)
-    obj = parse_object_list(model, args.object)
+    obj = parse_domain_object(model, g, args.object)
     drop = parse_object_name(model, args.drop)
     if drop not in obj:
         raise UsageError(f"--drop {args.drop} is not a summand of --object")
-    partial = frozenset(obj) - {drop}
+    partial = obj - {drop}
     try:
         cs = complements(g, partial)
     except ValueError as exc:
@@ -244,18 +255,21 @@ def cmd_complements(args):
 
 def cmd_localise(args):
     model, name = build_model(args)
-    obj = frozenset(parse_object_list(model, args.object))
+    g = compatibility_graph(model)
+    obj = parse_domain_object(model, g, args.object)
     at = parse_object_name(model, args.at)
     if at not in obj:
         raise UsageError(f"--at {args.at} is not a summand of --object")
-    g = compatibility_graph(model)
     if not g.is_clique(obj):
         raise UsageError("--object is not m-rigid")
+    if not g.is_maximal(obj):
+        raise UsageError("--object is not maximal m-rigid, so it cannot be localised")
     norm = normalize_to_Dminus(model, obj)
     at_n = norm.mapping[at]
     loc = localise_object(norm.world, norm.summands, at_n)
     pd = loc.pd
     prime_g = compatibility_graph(pd.prime_model) if pd.H_prime.n else None
+    maximal = prime_g is None or prime_g.is_maximal(loc.prime_summands)
     comp_counts = {}
     if prime_g is not None and loc.prime_summands:
         for v in sorted(loc.prime_summands, key=lambda u: u.name()):
@@ -271,14 +285,14 @@ def cmd_localise(args):
             "arrows": [list(a) for a in pd.H_prime.arrows],
         },
         "image": sorted(v.name() for v in loc.prime_summands),
-        "maximal": True,
+        "maximal": maximal,
         "complement_counts": comp_counts,
     }
     lines = [
         f"localised {name} at {at.name()} (m={model.m})",
         f"H' vertices: {len(pd.H_prime.vertices)}",
         "image: " + (", ".join(data["image"]) or "0"),
-        "maximal m-rigid over H': yes",
+        f"maximal m-rigid over H': {'yes' if maximal else 'no'}",
     ]
     emit(args, data, lines)
     return 0
@@ -286,8 +300,8 @@ def cmd_localise(args):
 
 def cmd_endo(args):
     model, name = build_model(args)
-    obj = frozenset(parse_object_list(model, args.object))
     g = compatibility_graph(model)
+    obj = parse_domain_object(model, g, args.object)
     if not g.is_clique(obj):
         raise UsageError("--object is not m-rigid")
     data = {"quiver": name, "m": model.m}
@@ -367,22 +381,23 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_m=True):
+    def common(sp, with_model=True, with_cap=False):
         sp.add_argument("quiver", help="preset name or quiver JSON file")
-        if with_m:
-            sp.add_argument("--m", type=int, default=1, help="number of shifts (default 1)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--window", default=None, help="shift window LO:HI")
-        sp.add_argument(
-            "--max-cliques", type=int, default=None, help="cap on enumerated cliques"
-        )
+        if with_model:
+            sp.add_argument("--m", type=int, default=1, help="number of shifts (default 1)")
+            sp.add_argument("--window", default=None, help="shift window LO:HI")
+        if with_cap:
+            sp.add_argument(
+                "--max-cliques", type=int, default=None, help="cap on enumerated cliques"
+            )
 
     sp = sub.add_parser("roots", help="positive roots of the underlying diagram")
-    common(sp, with_m=False)
+    common(sp, with_model=False)
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("ar-quiver", help="knitted AR-quiver of mod H as JSON")
-    common(sp, with_m=False)
+    common(sp, with_model=False)
     sp.set_defaults(func=cmd_ar_quiver)
 
     sp = sub.add_parser("fd", help="fundamental domain objects")
@@ -404,7 +419,7 @@ def make_parser():
     sp.set_defaults(func=cmd_factor_dim)
 
     sp = sub.add_parser("enumerate", help="maximal m-rigid objects")
-    common(sp)
+    common(sp, with_cap=True)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("complements", help="complements of an almost complete object")
@@ -427,7 +442,7 @@ def make_parser():
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("target", choices=["all", "cluster"])
-    common(sp)
+    common(sp, with_cap=True)
     sp.add_argument(
         "--timing", action="store_true", help="include elapsed time in JSON output"
     )
@@ -451,6 +466,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except CliqueCapExceeded as exc:
         print(f"capped: {exc}", file=sys.stderr)
+        return RESOURCE_CAP
+    except WindowOverflow as exc:
+        print(f"window too small: {exc}; widen it with --window LO:HI", file=sys.stderr)
         return RESOURCE_CAP
     except MClusterError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ objects are the maximal cliques of the resulting compatibility relation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .arquiver import ARQuiver, ARVertex
@@ -22,28 +23,18 @@ class FundamentalDomain:
     vertices: tuple[DVertex, ...]
 
 
+# per-model caches of this layer; a model's entries die with the model
+_graphs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_slices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def fundamental_domain(model: DerivedModel) -> FundamentalDomain:
-    fd = model._fd
-    if fd is None:
-        vs = [
-            DVertex(v, t)
-            for v in model.ar.vertices
-            for t in range(model.m)
-        ]
-        vs += [
-            DVertex(v, model.m)
-            for v in model.ar.vertices
-            if v.projective_of is not None
-        ]
-        vs.sort(key=lambda v: (v.module.slice_index, v.module.name, v.shift))
-        fd = FundamentalDomain(model.m, tuple(vs))
-        model._fd = fd
-    return fd
-
-
-def ext_cluster(model: DerivedModel, x: DVertex, y: DVertex, k: int) -> int:
-    """dim Ext^k of the orbit category between fundamental-domain objects."""
-    return model.hom_orbit(x, y, k)
+    vs = [DVertex(v, t) for v in model.ar.vertices for t in range(model.m)]
+    vs += [
+        DVertex(v, model.m) for v in model.ar.vertices if v.projective_of is not None
+    ]
+    vs.sort(key=lambda v: (v.module.slice_index, v.module.name, v.shift))
+    return FundamentalDomain(model.m, tuple(vs))
 
 
 class CompatibilityGraph:
@@ -56,41 +47,63 @@ class CompatibilityGraph:
     """
 
     def __init__(self, model: DerivedModel):
-        self.model = model
         self.m = model.m
         self.n = model.quiver.n
         self.nodes = fundamental_domain(model).vertices
         self.index = {v: i for i, v in enumerate(self.nodes)}
         ks = range(1, self.m + 1)
-        self.self_rigid = tuple(
-            all(ext_cluster(model, v, v, k) == 0 for k in ks) for v in self.nodes
+        ext = model.hom_orbit
+        # bitmask of the self-rigid nodes
+        self.rigid = sum(
+            1 << i
+            for i, v in enumerate(self.nodes)
+            if all(ext(v, v, k) == 0 for k in ks)
         )
         self.adj = [0] * len(self.nodes)
         for i, x in enumerate(self.nodes):
             for j in range(i + 1, len(self.nodes)):
                 y = self.nodes[j]
-                if all(
-                    ext_cluster(model, x, y, k) == 0
-                    and ext_cluster(model, y, x, k) == 0
-                    for k in ks
-                ):
+                if all(ext(x, y, k) == 0 and ext(y, x, k) == 0 for k in ks):
                     self.adj[i] |= 1 << j
                     self.adj[j] |= 1 << i
 
-    def adjacent(self, x: DVertex, y: DVertex) -> bool:
-        return bool(self.adj[self.index[x]] >> self.index[y] & 1)
+    def mask(self, vertices) -> int:
+        """The bitmask of a set of fundamental-domain vertices."""
+        out = 0
+        for v in vertices:
+            i = self.index.get(v)
+            if i is None:
+                raise ValueError(
+                    f"{v} is not in the fundamental domain (modules at shifts "
+                    f"0..{self.m - 1}, projectives at shift {self.m})"
+                )
+            out |= 1 << i
+        return out
+
+    def common_neighbours(self, t) -> int:
+        """Bitmask of the vertices outside t adjacent to every vertex of t."""
+        mask = self.mask(t)
+        out = (1 << len(self.nodes)) - 1
+        for i in _bits(mask):
+            out &= self.adj[i]
+        return out & ~mask
 
     def is_clique(self, vertices) -> bool:
-        idx = [self.index[v] for v in vertices]
-        return all(self.self_rigid[i] for i in idx) and all(
-            self.adj[i] >> j & 1 for a, i in enumerate(idx) for j in idx[a + 1:]
+        t = self.mask(vertices)
+        return not t & ~self.rigid and all(
+            not t & ~self.adj[i] & ~(1 << i) for i in _bits(t)
         )
+
+    def is_maximal(self, t) -> bool:
+        """True when no rigid vertex outside t is adjacent to all of t."""
+        return not self.common_neighbours(t) & self.rigid
 
 
 def compatibility_graph(model: DerivedModel) -> CompatibilityGraph:
-    if model._graph is None:
-        model._graph = CompatibilityGraph(model)
-    return model._graph
+    g = _graphs.get(model)
+    if g is None:
+        g = _graphs[model] = CompatibilityGraph(model)
+    return g
 
 
 @dataclass(frozen=True)
@@ -135,19 +148,8 @@ def enumerate_maximal_m_rigid(
     g: CompatibilityGraph, max_cliques: int | None = None
 ) -> list[MRigidObject]:
     """All maximal m-rigid objects, as maximal cliques over the rigid nodes."""
-    rigid_mask = 0
-    for i, ok in enumerate(g.self_rigid):
-        if ok:
-            rigid_mask |= 1 << i
     masks: list[int] = []
-    _bron_kerbosch(
-        [g.adj[i] & rigid_mask for i in range(len(g.nodes))],
-        0,
-        rigid_mask,
-        0,
-        masks,
-        max_cliques,
-    )
+    _bron_kerbosch([a & g.rigid for a in g.adj], 0, g.rigid, 0, masks, max_cliques)
     objs = []
     for mask in sorted(masks):
         members = frozenset(g.nodes[i] for i in _bits(mask))
@@ -168,13 +170,7 @@ def complements(g: CompatibilityGraph, partial) -> list[DVertex]:
         raise ValueError(f"expected {g.n - 1} summands, got {len(partial)}")
     if not g.is_clique(partial):
         raise ValueError("input is not m-rigid")
-    out = []
-    for i, v in enumerate(g.nodes):
-        if v in partial or not g.self_rigid[i]:
-            continue
-        if all(g.adjacent(v, u) for u in partial):
-            out.append(v)
-    return out
+    return [g.nodes[i] for i in _bits(g.common_neighbours(partial) & g.rigid)]
 
 
 def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
@@ -184,15 +180,9 @@ def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
     not, so this is the cluster-tilting condition and not a restatement of
     clique maximality.
     """
-    t = frozenset(t)
     if not g.is_clique(t):
         raise ValueError("input is not m-rigid")
-    for v in g.nodes:
-        if v in t:
-            continue
-        if all(g.adjacent(v, u) for u in t):
-            return False
-    return True
+    return not g.common_neighbours(t)
 
 
 def tilting_modules(ar: ARQuiver) -> list[frozenset[ARVertex]]:
@@ -264,8 +254,8 @@ def _tau_orbits(model: DerivedModel) -> list[list[DVertex]]:
 def enumerate_slices(model: DerivedModel):
     """All sections of the window: one vertex per tau-orbit, neighbours
     chosen adjacent across every edge of the underlying diagram."""
-    if model._slices is not None:
-        return model._slices
+    if model in _slices:
+        return _slices[model]
     orbits = _tau_orbits(model)
     orbit_of = {}
     for i, o in enumerate(orbits):
@@ -315,7 +305,7 @@ def enumerate_slices(model: DerivedModel):
             del assign[o]
 
     extend({}, 0)
-    model._slices = slices
+    _slices[model] = slices
     return slices
 
 
@@ -343,7 +333,6 @@ class NormalizedObject:
     """A maximal m-rigid object repositioned so all summands have degree
     below m, possibly over a derived-equivalent algebra."""
 
-    slice_vertices: tuple[DVertex, ...]
     world: DerivedModel
     summands: frozenset[DVertex]
     mapping: dict[DVertex, DVertex]
@@ -360,14 +349,7 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
     t = frozenset(t)
     m = model.m
     if all(0 <= v.shift <= m - 1 for v in t):
-        identity_slice = tuple(
-            sorted(
-                (DVertex(p, 0) for p in model.ar.projectives.values()),
-                key=_vkey,
-            )
-        )
         return NormalizedObject(
-            slice_vertices=identity_slice,
             world=model,
             summands=t,
             mapping={v: v for v in t},
@@ -403,15 +385,9 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
         g = compatibility_graph(alg.model)
         if not g.is_clique(new_t):
             raise InternalCheckError("normalized object is not m-rigid")
-        if any(
-            g.self_rigid[g.index[v]]
-            and v not in new_t
-            and all(g.adjacent(v, u) for u in new_t)
-            for v in g.nodes
-        ):
+        if not g.is_maximal(new_t):
             raise InternalCheckError("normalized object is not maximal")
         return NormalizedObject(
-            slice_vertices=alg.projectives,
             world=alg.model,
             summands=new_t,
             mapping=sw_map,

@@ -27,10 +27,6 @@ class DVertex:
     module: ARVertex
     shift: int
 
-    @property
-    def degree(self) -> int:
-        return self.shift
-
     def name(self) -> str:
         return f"{self.module.name}[{self.shift}]"
 
@@ -52,28 +48,8 @@ class DObject:
         items = sorted(counts.items(), key=lambda it: _vkey(it[0]))
         return DObject(tuple(items))
 
-    @staticmethod
-    def zero() -> "DObject":
-        return DObject(())
-
-    @property
-    def basic(self) -> bool:
-        return all(mult == 1 for _, mult in self.summands)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.summands
-
-    def vertices(self):
-        return [v for v, _ in self.summands]
-
     def total(self) -> int:
         return sum(m for _, m in self.summands)
-
-    def shifted(self, k: int) -> "DObject":
-        return DObject(
-            tuple((DVertex(v.module, v.shift + k), m) for v, m in self.summands)
-        )
 
     def name(self) -> str:
         if not self.summands:
@@ -86,10 +62,6 @@ class DObject:
 
 def _vkey(v: DVertex):
     return (v.shift, v.module.slice_index, v.module.name)
-
-
-def degree(x: DVertex) -> int:
-    return x.shift
 
 
 @dataclass(frozen=True)
@@ -147,10 +119,6 @@ class DerivedModel:
                     raise InternalCheckError(f"mesh mismatch at {z}")
                 self.meshes.append((tz, mids, z))
         self._mesh_cat = None
-        self._perp_cache: dict[ARVertex, object] = {}
-        self._graph = None
-        self._fd = None
-        self._slices = None
         self._algebras: dict[tuple[DVertex, ...], ProjectiveAlgebra] = {}
 
     def mesh_category(self):
@@ -204,21 +172,7 @@ class DerivedModel:
     def contains(self, x: DVertex) -> bool:
         return x in self._vset
 
-    def _check(self, x: DVertex) -> DVertex:
-        if x not in self._vset:
-            raise WindowOverflow(f"{x} is outside the shift window {self.window}")
-        return x
-
     # --- functors ---------------------------------------------------------
-
-    def shift(self, x: DVertex, k: int) -> DVertex:
-        return self._check(DVertex(x.module, x.shift + k))
-
-    def shift_object(self, obj: DObject, k: int) -> DObject:
-        shifted = obj.shifted(k)
-        for v, _ in shifted.summands:
-            self._check(v)
-        return shifted
 
     def tau_raw(self, x: DVertex) -> DVertex:
         """tau of the derived category, window-unchecked."""
@@ -230,12 +184,6 @@ class DerivedModel:
         if x.module.injective_of is not None:
             return DVertex(self.ar.projectives[x.module.injective_of], x.shift + 1)
         return DVertex(self.ar.tau_inv[x.module], x.shift)
-
-    def tau_d(self, x: DVertex) -> DVertex:
-        return self._check(self.tau_raw(x))
-
-    def tau_d_inv(self, x: DVertex) -> DVertex:
-        return self._check(self.tau_inv_raw(x))
 
     def g_raw(self, x: DVertex, t: int = 1) -> DVertex:
         """G^t where G = tau^{-1} [m], window-unchecked."""
@@ -249,7 +197,10 @@ class DerivedModel:
         return y
 
     def g(self, x: DVertex, t: int = 1) -> DVertex:
-        return self._check(self.g_raw(x, t))
+        y = self.g_raw(x, t)
+        if y not in self._vset:
+            raise WindowOverflow(f"{y} is outside the shift window {self.window}")
+        return y
 
     # --- Hom dimensions ----------------------------------------------------
 

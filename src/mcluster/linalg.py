@@ -92,17 +92,5 @@ class SpanBuilder:
         self._pivots.sort()
         return True
 
-    def contains(self, vec) -> bool:
-        ivec, _ = _scaled(vec)
-        ivec, _ = self._reduce_int(ivec)
-        return not any(ivec)
-
     def pivots(self) -> list[int]:
         return list(self._pivots)
-
-
-def rank_of(vectors, width: int) -> int:
-    sb = SpanBuilder(width)
-    for v in vectors:
-        sb.add(v)
-    return sb.rank

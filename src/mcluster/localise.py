@@ -11,7 +11,8 @@ rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass
 
 from .arquiver import ARVertex
 from .cluster import compatibility_graph
@@ -20,37 +21,26 @@ from .errors import InternalCheckError, WindowOverflow
 from .meshcat import ApproxTriangle, minimal_right_approximation
 from .quiver import Quiver
 
+# perpendicular data per model, keyed by the base module of M
+_perpendicular: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 @dataclass
 class PerpendicularData:
-    """The perpendicular world of a rigid indecomposable M = X[k]."""
+    """The perpendicular world of a rigid indecomposable M = X[k]; it depends
+    on the module X only."""
 
-    M: DVertex
     base_module: ARVertex
-    model: DerivedModel
     U_members: tuple[ARVertex, ...]
     projectives_of_U: tuple[ARVertex, ...]
     H_prime: Quiver
     prime_model: DerivedModel
     module_map: dict[ARVertex, ARVertex]  # U member -> H' module vertex
-    d0_order: tuple[DVertex, ...] = field(default=())
-
-    def in_D0_module(self, v: ARVertex) -> bool:
-        return v in self.module_map
+    d0_order: tuple[DVertex, ...]
 
     def to_prime(self, v: DVertex) -> DVertex:
         """H'-coordinates of a D0 window vertex U[i]."""
         return DVertex(self.module_map[v.module], v.shift)
-
-
-def is_in_D0(model: DerivedModel, u: DVertex, M: DVertex) -> bool:
-    """No map from any shift of M reaches u."""
-    lo, hi = model.window
-    for i in range(lo, hi + 1):
-        s = DVertex(M.module, i)
-        if model.hom(s, u) != 0:
-            return False
-    return True
 
 
 def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
@@ -61,11 +51,9 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     Hom(projectives, u).
     """
     base = M.module
-    cached = model._perp_cache.get(base)
-    if cached is not None:
-        # the heavy payload only depends on the base module; carry the
-        # caller's M so shift-relative operations read correctly
-        return cached if cached.M == M else replace(cached, M=M)
+    cache = _perpendicular.setdefault(model, {})
+    if base in cache:
+        return cache[base]
     ar = model.ar
     if ar.ext(base, base) != 0:
         raise ValueError(f"{M} is not rigid")
@@ -92,9 +80,7 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
         (DVertex(u, i) for u in members for i in range(lo, hi + 1)), key=_vkey
     )
     pd = PerpendicularData(
-        M=M,
         base_module=base,
-        model=model,
         U_members=members,
         projectives_of_U=tuple(p.module for p in alg.projectives),
         H_prime=alg.quiver,
@@ -102,7 +88,7 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
         module_map=module_map,
         d0_order=tuple(d0),
     )
-    model._perp_cache[base] = pd
+    cache[base] = pd
     return pd
 
 
@@ -143,15 +129,24 @@ def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularDa
 def approximation_triangle(
     model: DerivedModel, x: DVertex, pd: PerpendicularData
 ) -> ApproxTriangle:
-    """Minimal right approximation of x by shifts of M, with its cone in D0."""
-    m = model.m
-    cls = [DVertex(pd.base_module, j) for j in range(0, m + 1)]
-    mesh = model.mesh_category()
-    tri = minimal_right_approximation(mesh, x, cls)
+    """The triangle C -> x -> cone of a minimal right approximation of x by
+    the shifts M[0..m], with the cone taken as the D0 image of x.
+
+    Checks the K0 identity [x] - [C] = [cone], which ties the mesh-category
+    approximation to the independent fingerprint projection, and that x has
+    no maps to the positive shifts of C.
+    """
+    cls = [DVertex(pd.base_module, j) for j in range(0, model.m + 1)]
+    tri = minimal_right_approximation(model.mesh_category(), x, cls)
     tri.cone = project_to_D0(model, x, pd)
-    for v, _ in tri.cone.summands:
-        if not pd.in_D0_module(v.module):
-            raise InternalCheckError(f"cone summand {v} is not in D0")
+    k0 = [0] * model.quiver.n  # [x] - [C] - [cone], with [X[k]] = (-1)^k dim X
+    for obj, sign in ((DObject.of([x]), 1), (tri.approx_source, -1), (tri.cone, -1)):
+        for v, mult in obj.summands:
+            c = -sign * mult if v.shift % 2 else sign * mult
+            for i, d in enumerate(v.module.dim):
+                k0[i] += c * d
+    if any(k0):
+        raise InternalCheckError(f"[x] - [C] != [cone] in K0 for x = {x}")
     lo, hi = model.window
     for c, mult in tri.approx_source.summands:
         if not mult:
@@ -164,54 +159,9 @@ def approximation_triangle(
     return tri
 
 
-def find_left_replacements(
-    model: DerivedModel, y: DVertex, pd: PerpendicularData, i: int
-) -> list[DVertex]:
-    """All window vertices x outside D0 with the same image as y and the
-    vanishing pattern Hom(x, M[*]) = 0, Hom(M, x[*]) = 0 except at 1-i."""
-    if model.hom(y, DVertex(pd.base_module, pd.M.shift + i)) == 0:
-        raise ValueError(f"Hom(y, M[{i}]) vanishes; nothing to replace")
-    lo, hi = model.window
-    margin = 2
-    target = project_to_D0(model, y, pd)
-    out = []
-    for x in model.vertices:
-        if not (lo + margin <= x.shift <= hi - margin):
-            continue
-        if pd.in_D0_module(x.module):
-            continue
-        if any(
-            model.hom(x, DVertex(pd.base_module, s)) != 0 for s in range(lo, hi + 1)
-        ):
-            continue
-        bad = False
-        for t in range(lo - x.shift, hi - x.shift + 1):
-            if t == 1 - i:
-                continue
-            if model.hom(DVertex(pd.base_module, pd.M.shift), DVertex(x.module, x.shift + t)) != 0:
-                bad = True
-                break
-        if bad:
-            continue
-        if project_to_D0(model, x, pd) == target:
-            out.append(x)
-    if not out:
-        raise WindowOverflow(
-            "no replacement found in the window; enlarge it and retry"
-        )
-    return out
-
-
-def find_left_replacement(
-    model: DerivedModel, y: DVertex, pd: PerpendicularData, i: int
-) -> DVertex:
-    return find_left_replacements(model, y, pd, i)[0]
-
-
 @dataclass
 class LocalisedObject:
     pd: PerpendicularData
-    images: tuple[DVertex, ...]        # in the parent window, inside D0
     prime_summands: frozenset[DVertex]  # in the H' model
 
 
@@ -257,11 +207,6 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
         g = compatibility_graph(pd.prime_model)
         if not g.is_clique(prime_set):
             raise InternalCheckError("localised object is not m-rigid over H'")
-        if any(
-            g.self_rigid[g.index[v]]
-            and v not in prime_set
-            and all(g.adjacent(v, u) for u in prime_set)
-            for v in g.nodes
-        ):
+        if not g.is_maximal(prime_set):
             raise InternalCheckError("localised object is not maximal over H'")
-    return LocalisedObject(pd=pd, images=tuple(images), prime_summands=prime_set)
+    return LocalisedObject(pd=pd, prime_summands=prime_set)

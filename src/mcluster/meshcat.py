@@ -56,14 +56,6 @@ class HomSpace:
     def reduce(self, vec):
         return self.relations.reduce(vec)
 
-    def coords(self, vec) -> tuple[Fraction, ...]:
-        """Coordinates of a reduced vector in the chosen basis."""
-        red = self.reduce(vec)
-        for i, c in enumerate(red):
-            if c and i not in self.basis_cols:
-                raise InternalCheckError("vector did not reduce into the basis")
-        return tuple(red[c] for c in self.basis_cols)
-
 
 class MeshCategory:
     """Hom-space cache plus composition over one window model."""
@@ -180,7 +172,7 @@ class MeshCategory:
 
 @dataclass
 class ApproxTriangle:
-    """A minimal right (or left) approximation with its chosen maps.
+    """A minimal right approximation with its chosen maps.
 
     `maps` stores, per class member, the chosen basis representatives of the
     top of the restricted Hom functor; `cone` is the class of the third term
@@ -191,12 +183,9 @@ class ApproxTriangle:
     maps: dict[DVertex, list]
     target: DVertex
     cone: DObject | None = None
-    left: bool = False
 
 
-def minimal_right_approximation(
-    mesh: MeshCategory, x: DVertex, cls, cone: DObject | None = None
-) -> ApproxTriangle:
+def minimal_right_approximation(mesh: MeshCategory, x: DVertex, cls) -> ApproxTriangle:
     """Minimal right add(cls)-approximation C -> x.
 
     The multiplicity of c is the dimension of Hom(c, x) modulo maps that
@@ -223,72 +212,5 @@ def minimal_right_approximation(
         maps[c] = chosen
         if sb.rank != sc.dim:
             raise InternalCheckError("top computation missed part of Hom(c, x)")
-    src = DObject.of(
-        [c for c in cls for _ in range(mults[c])]
-    )
-    return ApproxTriangle(approx_source=src, maps=maps, target=x, cone=cone)
-
-
-def minimal_left_approximation(mesh: MeshCategory, y: DVertex, cls) -> ApproxTriangle:
-    """Minimal left add(cls)-approximation y -> C (mirror of the right one)."""
-    cls = sorted(set(cls), key=_vkey)
-    mults: dict[DVertex, int] = {}
-    maps: dict[DVertex, list] = {}
-    for c in cls:
-        sc = mesh.space(y, c)
-        sb = SpanBuilder(len(sc.paths))
-        for c2 in cls:
-            if c2 == c:
-                continue
-            for g in mesh.space(y, c2).basis_elements():
-                for h in mesh.space(c2, c).basis_elements():
-                    sb.add(mesh.compose(y, c2, c, g, h))
-        chosen = []
-        for e in sc.basis_elements():
-            if sb.add(e):
-                chosen.append(e)
-        mults[c] = len(chosen)
-        maps[c] = chosen
     src = DObject.of([c for c in cls for _ in range(mults[c])])
-    return ApproxTriangle(approx_source=src, maps=maps, target=y, cone=None, left=True)
-
-
-def verify_approximation(mesh: MeshCategory, tri: ApproxTriangle, cls) -> bool:
-    """Check the defining surjectivity of an approximation by rank counts."""
-    cls = sorted(set(cls), key=_vkey)
-    for probe in cls:
-        if tri.left:
-            target = mesh.space(tri.target, probe)
-            sb = SpanBuilder(len(target.paths))
-            for c, chosen in tri.maps.items():
-                for f in chosen:
-                    for h in mesh.space(c, probe).basis_elements():
-                        sb.add(mesh.compose(tri.target, c, probe, f, h))
-        else:
-            target = mesh.space(probe, tri.target)
-            sb = SpanBuilder(len(target.paths))
-            for c, chosen in tri.maps.items():
-                for f in chosen:
-                    for h in mesh.space(probe, c).basis_elements():
-                        sb.add(mesh.compose(probe, c, tri.target, h, f))
-        if sb.rank != target.dim:
-            return False
-    return True
-
-
-def verify_minimality(mesh: MeshCategory, tri: ApproxTriangle, cls) -> bool:
-    """Deleting any chosen summand must break the approximation property."""
-    for c, chosen in tri.maps.items():
-        for k in range(len(chosen)):
-            pruned = ApproxTriangle(
-                approx_source=tri.approx_source,
-                maps={
-                    d: (lst[:k] + lst[k + 1:] if d == c else lst)
-                    for d, lst in tri.maps.items()
-                },
-                target=tri.target,
-                left=tri.left,
-            )
-            if verify_approximation(mesh, pruned, cls):
-                return False
-    return True
+    return ApproxTriangle(approx_source=src, maps=maps, target=x)

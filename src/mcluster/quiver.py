@@ -258,10 +258,6 @@ def dim_vector(q: Quiver, entries) -> tuple[int, ...]:
     return vec
 
 
-def dim_entries(q: Quiver, vec) -> dict[str, int]:
-    return dict(zip(q.labels, vec))
-
-
 def dim_str(vec) -> str:
     """Canonical printing: digit string, or a parenthesized tuple once any
     entry reaches 10."""

@@ -23,7 +23,7 @@ from .cluster import (
 from .derived import DerivedModel, DVertex
 from .endo import verify_factor_theorem
 from .errors import InternalCheckError
-from .localise import localise_object
+from .localise import approximation_triangle, localise_object
 from .quiver import Quiver, euler_form
 
 
@@ -134,10 +134,8 @@ def check_derived_invariants(model: DerivedModel, report: VerificationReport):
     report.add("mesh-basis-agreement", bad == 0, f"{checked} window pairs")
 
 
-def check_cluster_theorems(model: DerivedModel, report: VerificationReport, max_cliques=None):
-    g = compatibility_graph(model)
+def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationReport):
     n = model.quiver.n
-    objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
     sizes = sorted({len(o.summands) for o in objs})
     report.counts["maximal_m_rigid"] = len(objs)
     report.counts["summand_sizes"] = sizes
@@ -196,9 +194,9 @@ def check_cluster_theorems(model: DerivedModel, report: VerificationReport, max_
     report.add("tilting-modules-embed", ok, f"{len(tms)} tilting modules")
 
 
-def check_localisation(model: DerivedModel, report: VerificationReport, max_cliques=None):
-    g = compatibility_graph(model)
-    objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
+def check_localisation(model: DerivedModel, objs, report: VerificationReport):
+    """Localise every object at every summand M, and build the approximation
+    triangle of every other summand by the shifts of M."""
     n = model.quiver.n
     runs = 0
     ok = True
@@ -211,15 +209,15 @@ def check_localisation(model: DerivedModel, report: VerificationReport, max_cliq
                 runs += 1
                 if len(loc.prime_summands) != n - 1:
                     ok = False
+                for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
+                    approximation_triangle(norm.world, x, loc.pd)
     except (InternalCheckError, ValueError) as exc:
         ok = False
         detail = str(exc)
     report.add("localisation-sweep", ok, detail or f"{runs} localisations")
 
 
-def check_factor_theorem(model: DerivedModel, report: VerificationReport, max_cliques=None):
-    g = compatibility_graph(model)
-    objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
+def check_factor_theorem(model: DerivedModel, objs, report: VerificationReport):
     runs = 0
     ok = True
     detail = ""
@@ -252,9 +250,11 @@ def run_verify(
     report = VerificationReport(quiver=quiver_name, m=m)
     model = DerivedModel(knit_module_category(quiver), m, window)
     check_derived_invariants(model, report)
-    check_cluster_theorems(model, report, max_cliques=max_cliques)
+    g = compatibility_graph(model)
+    objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
+    check_cluster_theorems(model, g, objs, report)
     if target == "all":
-        check_localisation(model, report, max_cliques=max_cliques)
-        check_factor_theorem(model, report, max_cliques=max_cliques)
+        check_localisation(model, objs, report)
+        check_factor_theorem(model, objs, report)
     report.elapsed = time.monotonic() - start
     return report

@@ -1,16 +1,41 @@
 """Independent oracles used to cross-check the production algorithms.
 
-Nothing here shares code paths with the package: clique enumeration is a
-naive breadth-first growth with maximality checks, Hom dimensions come from
-explicit representation matrices, and positive roots from a bounded brute
-force over the Tits form.
+None of them shares code with the algorithm it checks: clique enumeration
+is a naive breadth-first growth with maximality checks over the orbit Hom
+sums, Hom dimensions come from explicit representation matrices, positive
+roots from a bounded brute force over the Tits form, D0 membership from
+window Hom dimensions, and approximations are checked by rank counts.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+from mcluster.derived import DVertex
 from mcluster.linalg import SpanBuilder
 from mcluster.quiver import Quiver, tits_form
+
+
+def compatible(model):
+    """The m-rigidity relation read straight off the orbit Hom sums: x ~ y
+    when Ext^k vanishes both ways for 1 <= k <= m."""
+    ks = range(1, model.m + 1)
+    memo = {}
+
+    def adjacent(x, y):
+        if (x, y) not in memo:
+            memo[x, y] = x != y and all(
+                model.hom_orbit(x, y, k) == 0 == model.hom_orbit(y, x, k) for k in ks
+            )
+        return memo[x, y]
+
+    return adjacent
+
+
+def in_D0(model, u, M):
+    """u is perpendicular to M when no shift of M in the window maps to u."""
+    lo, hi = model.window
+    return all(model.hom(DVertex(M.module, i), u) == 0 for i in range(lo, hi + 1))
 
 
 def naive_maximal_cliques(nodes, adjacent):
@@ -117,3 +142,32 @@ def interval_modules(n):
 
 def interval_dim_vector(n, iv):
     return tuple(1 if iv[0] <= v <= iv[1] else 0 for v in range(1, n + 1))
+
+
+# --- approximation oracles for minimal_right_approximation ------------------
+
+
+def verify_approximation(mesh, tri, cls) -> bool:
+    """Every map from a class member to the target factors through the chosen
+    maps: checked by rank counts."""
+    for probe in set(cls):
+        target = mesh.space(probe, tri.target)
+        sb = SpanBuilder(len(target.paths))
+        for c, chosen in tri.maps.items():
+            for f in chosen:
+                for h in mesh.space(probe, c).basis_elements():
+                    sb.add(mesh.compose(probe, c, tri.target, h, f))
+        if sb.rank != target.dim:
+            return False
+    return True
+
+
+def verify_minimality(mesh, tri, cls) -> bool:
+    """Deleting any chosen map must break the approximation property."""
+    for c, chosen in tri.maps.items():
+        for k in range(len(chosen)):
+            maps = dict(tri.maps)
+            maps[c] = chosen[:k] + chosen[k + 1:]
+            if verify_approximation(mesh, replace(tri, maps=maps), cls):
+                return False
+    return True

@@ -18,7 +18,7 @@ from mcluster.endo import verify_factor_theorem
 from mcluster.localise import localise_object
 from mcluster.quiver import euler_form, make_quiver, preset
 
-from oracles import fuss_catalan, naive_maximal_cliques
+from oracles import compatible, fuss_catalan, naive_maximal_cliques
 
 GRID = (
     [(f"A{n}", m) for n in range(1, 5) for m in (1, 2, 3)]
@@ -112,7 +112,7 @@ def test_criterion_4_counts(world):
     details = []
     for name, m, expected in FIXTURES:
         g, objs = _objs(world, name, m)
-        naive = naive_maximal_cliques(g.nodes, g.adjacent)
+        naive = naive_maximal_cliques(g.nodes, compatible(world(name, m)))
         formula = fuss_catalan(name, m)
         agree = len(objs) == expected == len(naive) == formula
         details.append(f"{name},m={m}:{len(objs)}")

@@ -1,6 +1,6 @@
 import pytest
 
-from mcluster.arquiver import knit_module_category, tau_module
+from mcluster.arquiver import knit_module_category
 from mcluster.quiver import euler_form, positive_roots, preset
 
 from oracles import hom_dim_intervals, interval_dim_vector, interval_modules
@@ -14,7 +14,7 @@ def test_a1_structure():
     v = ar.vertices[0]
     assert v.projective_of == "1" and v.injective_of == "1"
     assert ar.tau == {}
-    assert tau_module(ar, v) is None
+    assert ar.tau.get(v) is None
 
 
 def test_a2_structure():
@@ -27,10 +27,8 @@ def test_a2_structure():
     assert ar.by_dim[(1, 1)].injective_of == "2"
     arrow_names = {(a.name, b.name) for a, b in ar.arrows}
     assert arrow_names == {("01", "11"), ("11", "10")}
-    assert tau_module(ar, ar.by_dim[(1, 0)]) is ar.by_dim[(0, 1)]
-    assert tau_module(ar, ar.by_dim[(1, 1)]) is None
-    with pytest.raises(KeyError):
-        tau_module(ar, knit_module_category(preset("A1")).vertices[0])
+    assert ar.tau[ar.by_dim[(1, 0)]] is ar.by_dim[(0, 1)]
+    assert ar.by_dim[(1, 1)] not in ar.tau
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -173,3 +175,37 @@ def test_reversed_window_is_usage_error():
     out = run_cli("fd", "A2", "--m", "1", "--window", "3:1")
     assert out.returncode == 2
     assert "--window" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("localise", ["--at", "11[5]"]), ("endo", []), ("complements", ["--drop", "11[5]"])],
+    ids=["localise", "endo", "complements"],
+)
+def test_object_outside_the_domain_is_usage_error(command, extra):
+    out = run_cli(command, "A2", "--object", "11[5],01[0]", *extra)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "--object 11[5],01[0]" in out.stderr
+    assert "11[5] is not in the fundamental domain" in out.stderr
+    assert "shifts 0..0, projectives at shift 1" in out.stderr
+
+
+def test_localise_needs_a_maximal_object():
+    out = run_cli("localise", "A3", "--object", "111,011", "--at", "111")
+    assert out.returncode == 2
+    assert "not maximal" in out.stderr and "check failed" not in out.stderr
+
+
+def test_window_overflow_is_resource_exit():
+    out = run_cli(
+        "endo", "A2", "--m", "1", "--window", "0:0", "--object", "11[0],01[0]"
+    )
+    assert out.returncode == 3
+    assert "--window" in out.stderr and "check failed" not in out.stderr
+
+
+def test_ignored_flags_are_gone():
+    assert run_cli("roots", "A2", "--max-cliques", "5").returncode == 2
+    assert run_cli("ar-quiver", "A2", "--window", "0:1").returncode == 2
+    assert run_cli("fd", "A2", "--max-cliques", "5").returncode == 2

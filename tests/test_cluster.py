@@ -1,21 +1,25 @@
+import gc
+import weakref
+
 import pytest
 
+from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
     enumerate_slices,
-    ext_cluster,
     fundamental_domain,
     is_m_cluster_tilting,
     normalize_to_Dminus,
     tilting_modules,
 )
-from mcluster.derived import DVertex
+from mcluster.derived import DerivedModel, DVertex
 from mcluster.errors import CliqueCapExceeded
-from mcluster.quiver import make_quiver, positive_roots
+from mcluster.localise import perpendicular_algebra
+from mcluster.quiver import make_quiver, positive_roots, preset
 
-from oracles import naive_maximal_cliques
+from oracles import compatible, naive_maximal_cliques
 
 
 def V(model, dim, shift=0):
@@ -37,14 +41,14 @@ def test_fd_sizes(world):
 @pytest.mark.parametrize("name,m", [("A1", 2), ("A2", 1), ("A2", 2), ("A3", 1), ("D4", 1)])
 def test_everything_self_rigid(world, name, m):
     g = compatibility_graph(world(name, m))
-    assert all(g.self_rigid)
+    assert g.rigid == (1 << len(g.nodes)) - 1
 
 
 def test_self_ext_vanishes_on_indecomposables(world):
     mod = world("A3", 2)
     for v in fundamental_domain(mod).vertices:
         for k in range(1, 3):
-            assert ext_cluster(mod, v, v, k) == 0
+            assert mod.hom_orbit(v, v, k) == 0
 
 
 def test_a2_pentagon(world):
@@ -58,13 +62,13 @@ def test_a1_m2_no_edges(world):
     g = compatibility_graph(world("A1", 2))
     assert len(g.nodes) == 3
     assert all(a == 0 for a in g.adj)
-    assert all(g.self_rigid)
+    assert g.rigid == (1 << len(g.nodes)) - 1
 
 
 def test_a2_m1_example_edge(world):
     mod = world("A2", 1)
     s1, p2 = V(mod, (1, 0)), V(mod, (0, 1))
-    assert ext_cluster(mod, s1, p2, 1) == 1  # S(1), P(2) do not pair
+    assert mod.hom_orbit(s1, p2, 1) == 1  # S(1), P(2) do not pair
 
 
 COUNTS = [
@@ -90,7 +94,7 @@ def test_enumeration_counts(world, name, m, count):
 def test_enumeration_matches_naive_oracle(world, name, m):
     g = compatibility_graph(world(name, m))
     ours = {o.summands for o in enumerate_maximal_m_rigid(g)}
-    naive = naive_maximal_cliques(g.nodes, g.adjacent)
+    naive = naive_maximal_cliques(g.nodes, compatible(world(name, m)))
     assert ours == naive
 
 
@@ -106,7 +110,7 @@ def test_complements_pentagon(world):
     for i, v in enumerate(g.nodes):
         cs = complements(g, frozenset([v]))
         assert len(cs) == 2
-        assert all(g.adjacent(v, c) for c in cs)
+        assert all(compatible(mod)(v, c) for c in cs)
 
 
 def test_complements_empty_partial(world):
@@ -165,9 +169,7 @@ def test_calabi_yau_symmetry(world, name, m):
     for x in fd.vertices:
         for y in fd.vertices:
             for k in range(1, m + 1):
-                assert ext_cluster(mod, x, y, k) == ext_cluster(
-                    mod, y, x, m + 1 - k
-                )
+                assert mod.hom_orbit(x, y, k) == mod.hom_orbit(y, x, m + 1 - k)
 
 
 def test_slices_of_a2(world):
@@ -234,8 +236,6 @@ def test_size_n_cliques_are_maximal(world, name, m):
 
 
 def test_tilting_modules_every_a3_orientation():
-    from mcluster.arquiver import knit_module_category
-
     arrows_options = [
         [("1", "2"), ("2", "3")],
         [("2", "1"), ("2", "3")],
@@ -248,3 +248,45 @@ def test_tilting_modules_every_a3_orientation():
         tms = tilting_modules(ar)
         assert all(len(t) == 3 for t in tms)
         assert len(positive_roots(q)) == 6
+
+
+def test_common_neighbours_pentagon(world):
+    mod = world("A2", 1)
+    g = compatibility_graph(mod)
+    assert g.common_neighbours([]) == (1 << 5) - 1
+    for i, v in enumerate(g.nodes):
+        assert g.common_neighbours([v]) == g.adj[i]
+    for o in enumerate_maximal_m_rigid(g):
+        assert g.common_neighbours(o.summands) == 0 and g.is_maximal(o.summands)
+        for v in o.summands:
+            assert not g.is_maximal(o.summands - {v})
+
+
+def test_vertex_outside_the_domain_is_rejected(world):
+    mod = world("A2", 1)
+    g = compatibility_graph(mod)
+    far = V(mod, (1, 1), 5)
+    for call in (g.mask, g.is_clique, g.common_neighbours):
+        with pytest.raises(ValueError, match="not in the fundamental domain"):
+            call([V(mod, (0, 1)), far])
+
+
+def test_layer_caches_release_the_model():
+    # graphs, slices and perpendicular data are cached weakly in the model, so
+    # a dropped model is freed together with the worlds built from it
+    model = DerivedModel(knit_module_category(preset("D4")), 1)
+    g = compatibility_graph(model)
+    assert enumerate_slices(model)
+    refs = [weakref.ref(model)]
+    for o in enumerate_maximal_m_rigid(g):
+        norm = normalize_to_Dminus(model, o.summands)
+        if not norm.identity:
+            refs.append(weakref.ref(norm.world))
+    for v in model.ar.vertices:
+        pd = perpendicular_algebra(model, DVertex(v, 0))
+        compatibility_graph(pd.prime_model)
+        refs.append(weakref.ref(pd.prime_model))
+    assert len(refs) > 1 + len(model.ar.vertices)  # some objects were re-sliced
+    del model, g, o, norm, pd
+    gc.collect()
+    assert all(r() is None for r in refs)

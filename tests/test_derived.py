@@ -1,7 +1,7 @@
 import pytest
 
 from mcluster.cluster import enumerate_slices
-from mcluster.derived import DObject, DVertex, degree
+from mcluster.derived import DVertex
 from mcluster.errors import WindowOverflow
 from mcluster.localise import perpendicular_algebra
 
@@ -12,26 +12,14 @@ def V(model, dim, shift=0):
     return DVertex(model.ar.by_dim[dim], shift)
 
 
-def test_degree_and_shift(world):
-    mod = world("A2", 1)
-    x = V(mod, (1, 1), 0)
-    assert degree(x) == 0
-    assert degree(DVertex(x.module, 2)) == 2
-    obj = DObject.of([x, V(mod, (0, 1), 0)])
-    assert mod.shift_object(obj, 0) == obj
-    assert mod.shift_object(mod.shift_object(obj, 1), -1) == obj
-    assert mod.shift_object(obj, 3).summands[0][0].shift == 3
-    with pytest.raises(WindowOverflow):
-        mod.shift_object(obj, 99)
-
-
 def test_tau_derived_a2(world):
     mod = world("A2", 1)
     s1 = V(mod, (1, 0), 0)
     p1 = V(mod, (1, 1), 0)
-    assert mod.tau_d(s1) == V(mod, (0, 1), 0)
+    assert mod.tau_raw(s1) == V(mod, (0, 1), 0)
     # projective rule: tau P(1) = I(1)[-1]
-    assert mod.tau_d(p1) == V(mod, (1, 0), -1)
+    assert mod.tau_raw(p1) == V(mod, (1, 0), -1)
+    assert mod.tau_inv_raw(V(mod, (1, 0), -1)) == p1
     # functors commute with the shift
     for v in mod.ar.vertices:
         x = DVertex(v, 1)
@@ -51,6 +39,10 @@ def test_g_apply_roundtrip(world):
     p2 = V(mod, (0, 1), 0)
     ti = mod.tau_inv_raw(p2)
     assert mod.g_raw(p2, 1) == DVertex(ti.module, ti.shift + 1)
+    # the checked G refuses to leave the window
+    assert mod.g(p2) == mod.g_raw(p2)
+    with pytest.raises(WindowOverflow):
+        mod.g(DVertex(p2.module, mod.window[1]))
 
 
 def test_hom_derived_a2_examples(world):
