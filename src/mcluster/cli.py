@@ -304,6 +304,8 @@ def cmd_endo(args):
     obj = parse_domain_object(model, g, args.object)
     if not g.is_clique(obj):
         raise UsageError("--object is not m-rigid")
+    if not g.is_maximal(obj):
+        raise UsageError("--object is not maximal m-rigid; endo needs a maximal one")
     data = {"quiver": name, "m": model.m}
     norm = normalize_to_Dminus(model, obj)
     ed = endo_dims(norm.world, norm.summands)

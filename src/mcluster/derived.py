@@ -213,13 +213,6 @@ class DerivedModel:
             return self.ar.ext(x.module, y.module)
         return 0
 
-    def hom_objects(self, a: DObject, b: DObject) -> int:
-        return sum(
-            ma * mb * self.hom(x, y)
-            for x, ma in a.summands
-            for y, mb in b.summands
-        )
-
     def hom_orbit(self, x: DVertex, y: DVertex, k: int) -> int:
         """dim of the orbit-category Hom: sum over t of Hom_D(x, G^t(y)[k]).
 

@@ -111,7 +111,7 @@ def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularDa
         )
     coeffs: dict[DVertex, int] = {}
     for u in pd.d0_order:
-        b = model.hom_objects(w, DObject.of([u]))
+        b = sum(mult * model.hom(v, u) for v, mult in w.summands)
         acc = 0
         for v, c in coeffs.items():
             if c:

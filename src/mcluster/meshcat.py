@@ -4,7 +4,9 @@ A Hom space is the span of paths between two window vertices modulo the
 ideal generated by the mesh relations.  For each mesh tauZ -> middles -> Z
 the relation is the plain sum over middles of the two-step compositions
 (the all-plus sign convention; any consistent choice of signs gives the
-same dimensions, which the hammock cross-check guards).
+same dimensions, which the hammock cross-check guards).  Morphisms leave
+this module only as coordinates in the chosen bases, and `compositions` is
+the one composition primitive: the table of composites of basis maps.
 
 Paths only ever move weakly up in degree, and a Hom space with a degree gap
 above one vanishes over a hereditary algebra, so path enumeration is cut at
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derived import DerivedModel, DObject, DVertex, _vkey
-from .errors import InternalCheckError
+from .errors import InternalCheckError, WindowOverflow
 from .linalg import SpanBuilder
 
 Path = tuple[DVertex, ...]
@@ -28,8 +30,8 @@ class HomSpace:
 
     `paths` lists every path from x to y in the window, `relations` is the
     echelonized span of the mesh relations restricted to those paths, and
-    the chosen basis is the set of non-pivot paths.  Elements are coefficient
-    vectors over `paths` in reduced (residual) form.
+    the chosen basis is the set of non-pivot paths.  Outside this module a
+    morphism is its vector of coordinates in that basis (see `coords`).
     """
 
     def __init__(self, x: DVertex, y: DVertex, paths: list[Path], relations: SpanBuilder):
@@ -45,20 +47,14 @@ class HomSpace:
     def zero(self):
         return [Fraction(0)] * len(self.paths)
 
-    def basis_elements(self):
-        out = []
-        for c in self.basis_cols:
-            v = self.zero()
-            v[c] = Fraction(1)
-            out.append(v)
-        return out
-
-    def reduce(self, vec):
-        return self.relations.reduce(vec)
+    def coords(self, vec):
+        """Basis coordinates of a path-coefficient vector of Hom(x, y)."""
+        red = self.relations.reduce(vec)
+        return [red[c] for c in self.basis_cols]
 
 
 class MeshCategory:
-    """Hom-space cache plus composition over one window model."""
+    """Hom-space cache plus composition tables over one window model."""
 
     def __init__(self, model: DerivedModel):
         self.model = model
@@ -73,7 +69,7 @@ class MeshCategory:
         if hit is not None:
             return hit
         out: list[Path] = []
-        if self.model.contains(x) and self.model.contains(y) and x.shift <= y.shift:
+        if x.shift <= y.shift:
             stack: list[Path] = [(x,)]
             while stack:
                 p = stack.pop()
@@ -93,6 +89,11 @@ class MeshCategory:
         hit = self._spaces.get(key)
         if hit is not None:
             return hit
+        for v in (x, y):
+            if not self.model.contains(v):
+                raise WindowOverflow(
+                    f"{v} is outside the shift window {self.model.window}"
+                )
         if y.shift - x.shift > 1 or y.shift < x.shift:
             sp = HomSpace(x, y, [], SpanBuilder(0))
         else:
@@ -122,51 +123,36 @@ class MeshCategory:
         self._spaces[key] = sp
         return sp
 
-    # --- composition and twists ---------------------------------------------
+    # --- composition ---------------------------------------------------------
 
-    def compose(self, x: DVertex, y: DVertex, z: DVertex, f, g):
-        """Compose f in Hom(x,y) with g in Hom(y,z); reduced vector in Hom(x,z)."""
-        sxz = self.space(x, z)
-        out = sxz.zero()
-        if not sxz.paths:
-            return out
+    def compositions(self, x: DVertex, y: DVertex, z: DVertex) -> list[list]:
+        """Basis coordinates in Hom(x, z) of g.f for each basis map f of
+        Hom(x, y) followed by each basis map g of Hom(y, z), f-major.
+
+        Returns [] as soon as one leg is zero, without building the others.
+        """
         sxy = self.space(x, y)
+        if not sxy.dim:
+            return []
         syz = self.space(y, z)
-        for i, ci in enumerate(f):
-            if not ci:
-                continue
-            p = sxy.paths[i]
-            for j, cj in enumerate(g):
-                if not cj:
-                    continue
-                q = syz.paths[j]
-                out[sxz.index[p + q[1:]]] += ci * cj
-        return sxz.reduce(out)
-
-    def g_twist(self, x: DVertex, y: DVertex, f):
-        """Image of f in Hom(x,y) under the automorphism G of the window."""
-        gx = self.model.g(x)
-        gy = self.model.g(y)
-        src = self.space(x, y)
-        dst = self.space(gx, gy)
-        out = dst.zero()
-        for i, c in enumerate(f):
-            if not c:
-                continue
-            moved = tuple(self.model.g(v) for v in src.paths[i])
-            out[dst.index[moved]] += c
-        return dst.reduce(out)
-
-    # --- derived quantities ---------------------------------------------------
+        if not syz.dim:
+            return []
+        sxz = self.space(x, z)
+        out = []
+        for i in sxy.basis_cols:
+            for j in syz.basis_cols:
+                vec = [0] * len(sxz.paths)
+                if sxz.dim:  # a shift gap above one leaves Hom(x, z) pathless
+                    vec[sxz.index[sxy.paths[i] + syz.paths[j][1:]]] = 1
+                out.append(sxz.coords(vec))
+        return out
 
     def factoring_dim(self, x: DVertex, z: DVertex, through) -> int:
         """dim of the subspace of Hom(x,z) of maps factoring through `through`."""
-        sxz = self.space(x, z)
-        sb = SpanBuilder(len(sxz.paths))
+        sb = SpanBuilder(self.space(x, z).dim)
         for w in sorted(set(through), key=_vkey):
-            for f in self.space(x, w).basis_elements():
-                for g in self.space(w, z).basis_elements():
-                    sb.add(self.compose(x, w, z, f, g))
+            for row in self.compositions(x, w, z):
+                sb.add(row)
         return sb.rank
 
 
@@ -174,8 +160,9 @@ class MeshCategory:
 class ApproxTriangle:
     """A minimal right approximation with its chosen maps.
 
-    `maps` stores, per class member, the chosen basis representatives of the
-    top of the restricted Hom functor; `cone` is the class of the third term
+    `maps` stores, per class member c, the chosen maps c -> target spanning
+    the top of the restricted Hom functor, as unit vectors in basis
+    coordinates of Hom(c, target); `cone` is the class of the third term
     of the induced triangle when the caller can compute it (see localise).
     """
 
@@ -190,27 +177,18 @@ def minimal_right_approximation(mesh: MeshCategory, x: DVertex, cls) -> ApproxTr
 
     The multiplicity of c is the dimension of Hom(c, x) modulo maps that
     factor through a radical map into another class member, and the chosen
-    maps are basis elements completing that radical subspace.
+    maps are the basis maps completing that radical subspace.
     """
     cls = sorted(set(cls), key=_vkey)
-    mults: dict[DVertex, int] = {}
     maps: dict[DVertex, list] = {}
     for c in cls:
-        sc = mesh.space(c, x)
-        sb = SpanBuilder(len(sc.paths))
+        d = mesh.space(c, x).dim
+        sb = SpanBuilder(d)
         for c2 in cls:
-            if c2 == c:
-                continue  # rad(c, c) = 0 for bricks
-            for h in mesh.space(c, c2).basis_elements():
-                for g in mesh.space(c2, x).basis_elements():
-                    sb.add(mesh.compose(c, c2, x, h, g))
-        chosen = []
-        for e in sc.basis_elements():
-            if sb.add(e):
-                chosen.append(e)
-        mults[c] = len(chosen)
-        maps[c] = chosen
-        if sb.rank != sc.dim:
-            raise InternalCheckError("top computation missed part of Hom(c, x)")
-    src = DObject.of([c for c in cls for _ in range(mults[c])])
+            if c2 != c:  # rad(c, c) = 0 for bricks
+                for row in mesh.compositions(c, c2, x):
+                    sb.add(row)
+        units = [[int(i == k) for i in range(d)] for k in range(d)]
+        maps[c] = [e for e in units if sb.add(e)]
+    src = DObject.of([c for c in cls for _ in maps[c]])
     return ApproxTriangle(approx_source=src, maps=maps, target=x)

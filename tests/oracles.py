@@ -4,7 +4,8 @@ None of them shares code with the algorithm it checks: clique enumeration
 is a naive breadth-first growth with maximality checks over the orbit Hom
 sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
-window Hom dimensions, and approximations are checked by rank counts.
+window Hom dimensions, approximations are checked by rank counts, and
+the G-twist moves basis paths one by one.
 """
 
 from dataclasses import replace
@@ -144,20 +145,49 @@ def interval_dim_vector(n, iv):
     return tuple(1 if iv[0] <= v <= iv[1] else 0 for v in range(1, n + 1))
 
 
+# --- basis-coordinate oracles for the mesh category ------------------------
+
+
+def units(d):
+    """The basis maps of a d-dimensional Hom space, in basis coordinates."""
+    return [[int(i == k) for i in range(d)] for k in range(d)]
+
+
+def compose_coords(mesh, x, y, z, f, g):
+    """g.f in basis coordinates of Hom(x, z) for f in Hom(x, y) and g in
+    Hom(y, z), by bilinear extension of the composition table."""
+    out = [Fraction(0)] * mesh.space(x, z).dim
+    for k, row in enumerate(mesh.compositions(x, y, z)):
+        c = f[k // len(g)] * g[k % len(g)]
+        for i, r in enumerate(row):
+            out[i] += c * r
+    return out
+
+
+def g_twist(mesh, x, y, f):
+    """Image of f in Hom(x, y) under the automorphism G of the window, moved
+    path by path: G carries paths to paths and meshes to meshes."""
+    g = mesh.model.g
+    src, dst = mesh.space(x, y), mesh.space(g(x), g(y))
+    vec = [0] * len(dst.paths)
+    for c, col in zip(f, src.basis_cols):
+        vec[dst.index[tuple(g(v) for v in src.paths[col])]] += c
+    return dst.coords(vec)
+
+
 # --- approximation oracles for minimal_right_approximation ------------------
 
 
 def verify_approximation(mesh, tri, cls) -> bool:
     """Every map from a class member to the target factors through the chosen
-    maps: checked by rank counts."""
+    maps: checked by rank counts on basis coordinates."""
     for probe in set(cls):
-        target = mesh.space(probe, tri.target)
-        sb = SpanBuilder(len(target.paths))
+        sb = SpanBuilder(mesh.space(probe, tri.target).dim)
         for c, chosen in tri.maps.items():
             for f in chosen:
-                for h in mesh.space(probe, c).basis_elements():
-                    sb.add(mesh.compose(probe, c, tri.target, h, f))
-        if sb.rank != target.dim:
+                for h in units(mesh.space(probe, c).dim):
+                    sb.add(compose_coords(mesh, probe, c, tri.target, h, f))
+        if sb.rank != sb.width:
             return False
     return True
 

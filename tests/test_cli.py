@@ -197,6 +197,22 @@ def test_localise_needs_a_maximal_object():
     assert "not maximal" in out.stderr and "check failed" not in out.stderr
 
 
+@pytest.mark.parametrize("obj", ["01[1]", "01[0]"])
+def test_endo_needs_a_maximal_object(obj):
+    out = run_cli("endo", "A2", "--m", "1", "--object", obj)
+    assert out.returncode == 2
+    assert "not maximal" in out.stderr and "check failed" not in out.stderr
+
+
+def test_factor_dim_outside_the_window_is_resource_exit():
+    out = run_cli(
+        "factor-dim", "A2", "--from", "11[20]", "--to", "10[20]", "--through", "11[20]"
+    )
+    assert out.returncode == 3
+    assert "11[20]" in out.stderr and "--window" in out.stderr
+    assert "check failed" not in out.stderr
+
+
 def test_window_overflow_is_resource_exit():
     out = run_cli(
         "endo", "A2", "--m", "1", "--window", "0:0", "--object", "11[0],01[0]"

@@ -115,18 +115,19 @@ def test_factor_theorem_sweep(world, name, m):
 
 def test_factor_additivity_of_quotient(world):
     # quotient dims plus the through-M contribution recover the Hom matrix
-    from mcluster.endo import _OrbitHom, _through_span
+    from mcluster.endo import _orbit_span
 
     mod = world("A3", 1)
     g = compatibility_graph(mod)
     o = enumerate_maximal_m_rigid(g)[0]
     norm = normalize_to_Dminus(mod, o.summands)
     order = sorted(norm.summands, key=lambda v: v.name())
-    oh = _OrbitHom(norm.world)
+    w = norm.world
     for M in order:
         rest = [v for v in order if v != M]
         mat = factor_dims(norm.world, norm.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                d0, d1 = oh.dims(a, b)
-                assert mat[i][j] + _through_span(oh, a, b, M).rank == d0 + d1
+                sb = _orbit_span(w, a, b, [M])
+                assert sb.width == w.hom(a, b) + w.hom(a, w.g(b))
+                assert mat[i][j] + sb.rank == sb.width

@@ -5,7 +5,13 @@ import pytest
 from mcluster.derived import DVertex
 from mcluster.meshcat import minimal_right_approximation
 
-from oracles import verify_approximation, verify_minimality
+from oracles import (
+    compose_coords,
+    g_twist,
+    units,
+    verify_approximation,
+    verify_minimality,
+)
 
 
 def V(model, dim, shift=0):
@@ -27,22 +33,22 @@ def test_a2_arrow_and_mesh_kill(world):
     p2, p1, s1 = V(mod, (0, 1)), V(mod, (1, 1)), V(mod, (1, 0))
     assert mesh.space(p2, p1).dim == 1
     assert mesh.space(p2, s1).dim == 0
-    f = mesh.space(p2, p1).basis_elements()[0]
-    g = mesh.space(p1, s1).basis_elements()[0]
-    assert not any(mesh.compose(p2, p1, s1, f, g))
+    # the one path p2 -> p1 -> s1 is the mesh relation, so it composes to 0
+    assert mesh.space(p2, s1).paths == [(p2, p1, s1)]
+    assert mesh.compositions(p2, p1, s1) == [[]]
 
 
 def test_compose_with_identity(world):
     mod = world("A3", 1)
     mesh = mod.mesh_category()
     for x in [DVertex(v, 0) for v in mod.ar.vertices]:
-        idx = mesh.space(x, x).basis_elements()[0]
+        assert mesh.compositions(x, x, x) == [[1]]
         for w in mod.ar.vertices:
             y = DVertex(w, 0)
-            for f in mesh.space(x, y).basis_elements():
-                assert mesh.compose(x, x, y, idx, f) == mesh.space(x, y).reduce(f)
-                idy = mesh.space(y, y).basis_elements()[0]
-                assert mesh.compose(x, y, y, f, idy) == mesh.space(x, y).reduce(f)
+            # both tables are the identity matrix of Hom(x, y)
+            ident = units(mesh.space(x, y).dim)
+            assert mesh.compositions(x, x, y) == ident
+            assert mesh.compositions(x, y, y) == ident
 
 
 @pytest.mark.parametrize("name,m", [("A2", 1), ("A3", 1), ("A3", 2)])
@@ -74,22 +80,66 @@ def test_composition_associative_and_bilinear(world, name):
         and mesh.space(z, w).dim
     ]
     for x, y, z, w in quads:
-        for f in mesh.space(x, y).basis_elements():
-            for g in mesh.space(y, z).basis_elements():
-                for h in mesh.space(z, w).basis_elements():
-                    gh = mesh.compose(y, z, w, g, h)
-                    fg = mesh.compose(x, y, z, f, g)
-                    assert mesh.compose(x, y, w, f, gh) == mesh.compose(
-                        x, z, w, fg, h
+        # (h.g).f = h.(g.f) on every triple of basis maps
+        for f in units(mesh.space(x, y).dim):
+            for g in units(mesh.space(y, z).dim):
+                for h in units(mesh.space(z, w).dim):
+                    gh = compose_coords(mesh, y, z, w, g, h)
+                    fg = compose_coords(mesh, x, y, z, f, g)
+                    assert compose_coords(mesh, x, y, w, f, gh) == compose_coords(
+                        mesh, x, z, w, fg, h
                     )
-    # bilinearity over a scaled element
-    x, y, z, _ = quads[0]
-    f = mesh.space(x, y).basis_elements()[0]
-    g = mesh.space(y, z).basis_elements()[0]
-    doubled = [Fraction(2) * c for c in f]
-    assert mesh.compose(x, y, z, doubled, g) == [
-        Fraction(2) * c for c in mesh.compose(x, y, z, f, g)
+    # bilinearity over a combination of basis maps
+    x, y, z, _ = next(q for q in quads if mesh.space(q[0], q[2]).dim)
+    f = [Fraction(k + 2) for k in range(mesh.space(x, y).dim)]
+    g = units(mesh.space(y, z).dim)[0]
+    assert compose_coords(mesh, x, y, z, f, g) == [
+        sum(c * r for c, r in zip(f, col))
+        for col in zip(*mesh.compositions(x, y, z)[:: len(g)])
     ]
+
+
+def test_compositions_stop_at_a_zero_leg(world):
+    # building the other two spaces anyway costs a third more cold spaces
+    from mcluster.meshcat import MeshCategory
+
+    mod = world("A3", 1)
+    vs = [DVertex(v, 0) for v in mod.ar.vertices]
+    zero = [(x, y) for x in vs for y in vs if mod.hom(x, y) == 0]
+    assert zero
+    for x, y in zero:
+        for z in vs:
+            mesh = MeshCategory(mod)
+            assert mesh.compositions(x, y, z) == []
+            assert list(mesh._spaces) == [(x, y)]
+            if mod.hom(z, x):
+                mesh = MeshCategory(mod)
+                assert mesh.compositions(z, x, y) == []
+                assert list(mesh._spaces) == [(z, x), (x, y)]
+
+
+@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
+def test_g_carries_a_basis_onto_a_basis(world, name, m):
+    # _orbit_span in endo reads Hom(Gc, Gb) off its own basis on this fact
+    from mcluster.cluster import fundamental_domain
+    from mcluster.linalg import SpanBuilder
+
+    mod = world(name, m)
+    mesh = mod.mesh_category()
+    dom = fundamental_domain(mod).vertices
+    checked = 0
+    for c in dom:
+        for b in dom:
+            if not (mod.contains(mod.g_raw(b)) and mod.contains(mod.g_raw(c))):
+                continue
+            d = mesh.space(c, b).dim
+            assert mesh.space(mod.g(c), mod.g(b)).dim == d
+            sb = SpanBuilder(d)
+            for f in units(d):
+                sb.add(g_twist(mesh, c, b, f))
+            assert sb.rank == d
+            checked += d
+    assert checked
 
 
 def test_factoring_dims(world):
