@@ -388,7 +388,7 @@ def make_parser():
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if with_model:
             sp.add_argument("--m", type=int, default=1, help="number of shifts (default 1)")
-            sp.add_argument("--window", default=None, help="shift window LO:HI")
+            sp.add_argument("--window", default=None, help="shift window, as --window=LO:HI")
         if with_cap:
             sp.add_argument(
                 "--max-cliques", type=int, default=None, help="cap on enumerated cliques"
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
         print(f"capped: {exc}", file=sys.stderr)
         return RESOURCE_CAP
     except WindowOverflow as exc:
-        print(f"window too small: {exc}; widen it with --window LO:HI", file=sys.stderr)
+        print(f"window too small: {exc}; widen it with --window=LO:HI", file=sys.stderr)
         return RESOURCE_CAP
     except MClusterError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -110,14 +110,10 @@ class DerivedModel:
         for v in self.vertices:
             self.out[v].sort(key=_vkey)
             self.inn[v].sort(key=_vkey)
-        self.meshes: list[tuple[DVertex, tuple[DVertex, ...], DVertex]] = []
         for z in self.vertices:
             tz = self.tau_raw(z)
-            if tz in self._vset:
-                mids = tuple(self.inn[z])
-                if set(mids) != set(self.out[tz]):
-                    raise InternalCheckError(f"mesh mismatch at {z}")
-                self.meshes.append((tz, mids, z))
+            if tz in self._vset and set(self.inn[z]) != set(self.out[tz]):
+                raise InternalCheckError(f"mesh mismatch at {z}")
         self._mesh_cat = None
         self._algebras: dict[tuple[DVertex, ...], ProjectiveAlgebra] = {}
 

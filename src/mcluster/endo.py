@@ -159,17 +159,14 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
             raise InternalCheckError(f"image of {a} is not indecomposable")
         images.append(img.summands[0][0])
 
-    lmat = []
-    for ya in images:
-        row = []
-        for yb in images:
-            gyb = project_to_D0(model, model.g(yb), pd)
-            row.append(
-                model.hom(ya, yb)
-                + sum(mult * model.hom(ya, v) for v, mult in gyb.summands)
-            )
-        lmat.append(tuple(row))
-    lmat = tuple(lmat)
+    g_images = [project_to_D0(model, model.g(yb), pd) for yb in images]
+    lmat = tuple(
+        tuple(
+            model.hom(ya, yb) + sum(mult * model.hom(ya, v) for v, mult in gyb.summands)
+            for yb, gyb in zip(images, g_images)
+        )
+        for ya in images
+    )
 
     if pd.H_prime.n:
         prime = [pd.to_prime(v) for v in images]

@@ -1,54 +1,56 @@
-"""Explicit Hom bases in the mesh category of the window model.
+"""Knitted Hom functors in the mesh category of the window model.
 
-A Hom space is the span of paths between two window vertices modulo the
-ideal generated by the mesh relations.  For each mesh tauZ -> middles -> Z
-the relation is the plain sum over middles of the two-step compositions
-(the all-plus sign convention; any consistent choice of signs gives the
-same dimensions, which the hammock cross-check guards).  Morphisms leave
-this module only as coordinates in the chosen bases, and `compositions` is
-the one composition primitive: the table of composites of basis maps.
-
-Paths only ever move weakly up in degree, and a Hom space with a degree gap
-above one vanishes over a hereditary algebra, so path enumeration is cut at
-the target degree and gap > 1 spaces are empty without search.
+Hom(x, -) is knitted across the meshes of the window translation quiver
+(Riedtmann 1980; Happel 1988): for z != x every map x -> z ends in an arrow
+mid -> z, and the mesh at z is the only relation among those, so Hom(x, z)
+is the cokernel of Hom(x, tau z) -> sum of Hom(x, mid) over the arrows
+mid -> z (the all-plus sign convention; any consistent choice of signs
+gives the same dimensions, which the hammock cross-check guards).  Morphisms
+leave this module only as coordinates in the chosen bases, and
+`compositions` is the one composition primitive: the table of composites of
+basis maps.  A Hom space with a degree gap outside {0, 1} vanishes over a
+hereditary algebra, so it is empty without knitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .derived import DerivedModel, DObject, DVertex, _vkey
 from .errors import InternalCheckError, WindowOverflow
 from .linalg import SpanBuilder
 
-Path = tuple[DVertex, ...]
+
+def _units(d: int) -> list[list[int]]:
+    return [[int(i == k) for i in range(d)] for k in range(d)]
 
 
 class HomSpace:
     """Basis data for Hom(x, y) in the mesh category.
 
-    `paths` lists every path from x to y in the window, `relations` is the
-    echelonized span of the mesh relations restricted to those paths, and
-    the chosen basis is the set of non-pivot paths.  Outside this module a
-    morphism is its vector of coordinates in that basis (see `coords`).
+    `cols` lists the presentation columns (mid, k), block by block in the
+    order of the arrows into y, and `offset[mid]` is where the block of mid
+    starts; Hom(x, x) has the one column (x, 0), the identity.  `relations`
+    is the echelonized image of Hom(x, tau y), and the chosen basis is the
+    set of non-pivot columns.  Outside this module a morphism is its vector
+    of coordinates in that basis (see `coords`).
     """
 
-    def __init__(self, x: DVertex, y: DVertex, paths: list[Path], relations: SpanBuilder):
+    def __init__(self, x: DVertex, y: DVertex, cols, offset, relations: SpanBuilder):
         self.x = x
         self.y = y
-        self.paths = paths
-        self.index = {p: i for i, p in enumerate(paths)}
+        self.cols = cols
+        self.offset = offset
         self.relations = relations
         pivots = set(relations.pivots())
-        self.basis_cols = [i for i in range(len(paths)) if i not in pivots]
+        self.basis_cols = [i for i in range(len(cols)) if i not in pivots]
         self.dim = len(self.basis_cols)
 
     def zero(self):
-        return [Fraction(0)] * len(self.paths)
+        return [0] * len(self.cols)
 
     def coords(self, vec):
-        """Basis coordinates of a path-coefficient vector of Hom(x, y)."""
+        """Basis coordinates of a presentation vector of Hom(x, y)."""
         red = self.relations.reduce(vec)
         return [red[c] for c in self.basis_cols]
 
@@ -59,30 +61,6 @@ class MeshCategory:
     def __init__(self, model: DerivedModel):
         self.model = model
         self._spaces: dict[tuple[DVertex, DVertex], HomSpace] = {}
-        self._paths: dict[tuple[DVertex, DVertex], list[Path]] = {}
-
-    # --- path enumeration --------------------------------------------------
-
-    def paths(self, x: DVertex, y: DVertex) -> list[Path]:
-        key = (x, y)
-        hit = self._paths.get(key)
-        if hit is not None:
-            return hit
-        out: list[Path] = []
-        if x.shift <= y.shift:
-            stack: list[Path] = [(x,)]
-            while stack:
-                p = stack.pop()
-                v = p[-1]
-                if v == y:
-                    out.append(p)
-                    continue
-                for w in self.model.out[v]:
-                    if w.shift <= y.shift:
-                        stack.append(p + (w,))
-        out.sort(key=lambda p: tuple(_vkey(v) for v in p))
-        self._paths[key] = out
-        return out
 
     def space(self, x: DVertex, y: DVertex) -> HomSpace:
         key = (x, y)
@@ -94,27 +72,22 @@ class MeshCategory:
                 raise WindowOverflow(
                     f"{v} is outside the shift window {self.model.window}"
                 )
-        if y.shift - x.shift > 1 or y.shift < x.shift:
-            sp = HomSpace(x, y, [], SpanBuilder(0))
+        if x == y:
+            sp = HomSpace(x, y, [(x, 0)], {}, SpanBuilder(1))
+        elif y.shift - x.shift not in (0, 1):
+            sp = HomSpace(x, y, [], {}, SpanBuilder(0))
         else:
-            paths = self.paths(x, y)
-            idx = {p: i for i, p in enumerate(paths)}
-            rel = SpanBuilder(len(paths))
-            for start, mids, end in self.model.meshes:
-                if start.shift < x.shift or end.shift > y.shift:
-                    continue
-                heads = self.paths(x, start)
-                tails = self.paths(end, y)
-                if not heads or not tails:
-                    continue
-                for p in heads:
-                    for q in tails:
-                        row = [0] * len(paths)
-                        for mid in mids:
-                            full = p + (mid,) + q
-                            row[idx[full]] += 1
-                        rel.add(row)
-            sp = HomSpace(x, y, paths, rel)
+            mids = self.model.inn[y]
+            cols, offset = [], {}
+            for mid in mids:
+                offset[mid] = len(cols)
+                cols += [(mid, k) for k in range(self.space(x, mid).dim)]
+            rel = SpanBuilder(len(cols))
+            ty = self.model.tau_raw(y)
+            if self.model.contains(ty):
+                for f in _units(self.space(x, ty).dim):
+                    rel.add([c for mid in mids for c in self._push(x, ty, mid, f)])
+            sp = HomSpace(x, y, cols, offset, rel)
         expected = self.model.hom(x, y)
         if sp.dim != expected:
             raise InternalCheckError(
@@ -125,11 +98,22 @@ class MeshCategory:
 
     # --- composition ---------------------------------------------------------
 
+    def _push(self, x: DVertex, w: DVertex, v: DVertex, f) -> list:
+        """Basis coordinates in Hom(x, v) of f in Hom(x, w) followed by the
+        arrow w -> v."""
+        sp = self.space(x, v)
+        vec = sp.zero()
+        start = sp.offset[w]
+        vec[start:start + len(f)] = f
+        return sp.coords(vec)
+
     def compositions(self, x: DVertex, y: DVertex, z: DVertex) -> list[list]:
         """Basis coordinates in Hom(x, z) of g.f for each basis map f of
         Hom(x, y) followed by each basis map g of Hom(y, z), f-major.
 
-        Returns [] as soon as one leg is zero, without building the others.
+        Each g is followed back through its (mid, k) columns to a path of
+        arrows y -> z, and every f is pushed along it.  Returns [] as soon
+        as one leg is zero, without building the others.
         """
         sxy = self.space(x, y)
         if not sxy.dim:
@@ -137,15 +121,19 @@ class MeshCategory:
         syz = self.space(y, z)
         if not syz.dim:
             return []
-        sxz = self.space(x, z)
-        out = []
-        for i in sxy.basis_cols:
-            for j in syz.basis_cols:
-                vec = [0] * len(sxz.paths)
-                if sxz.dim:  # a shift gap above one leaves Hom(x, z) pathless
-                    vec[sxz.index[sxy.paths[i] + syz.paths[j][1:]]] = 1
-                out.append(sxz.coords(vec))
-        return out
+        if not self.space(x, z).dim:  # a shift gap above one lands here too
+            return [[] for _ in range(sxy.dim * syz.dim)]
+        table = [self._follow(x, y, z, j, _units(sxy.dim)) for j in range(syz.dim)]
+        return [g_rows[i] for i in range(sxy.dim) for g_rows in table]
+
+    def _follow(self, x: DVertex, y: DVertex, z: DVertex, j: int, rows) -> list:
+        """Basis coordinates in Hom(x, z) of each of the maps `rows` of
+        Hom(x, y) followed by basis map j of Hom(y, z)."""
+        if z == y:
+            return rows
+        sp = self.space(y, z)
+        mid, k = sp.cols[sp.basis_cols[j]]
+        return [self._push(x, mid, z, f) for f in self._follow(x, y, mid, k, rows)]
 
     def factoring_dim(self, x: DVertex, z: DVertex, through) -> int:
         """dim of the subspace of Hom(x,z) of maps factoring through `through`."""
@@ -188,7 +176,6 @@ def minimal_right_approximation(mesh: MeshCategory, x: DVertex, cls) -> ApproxTr
             if c2 != c:  # rad(c, c) = 0 for bricks
                 for row in mesh.compositions(c, c2, x):
                     sb.add(row)
-        units = [[int(i == k) for i in range(d)] for k in range(d)]
-        maps[c] = [e for e in units if sb.add(e)]
+        maps[c] = [e for e in _units(d) if sb.add(e)]
     src = DObject.of([c for c in cls for _ in maps[c]])
     return ApproxTriangle(approx_source=src, maps=maps, target=x)

@@ -4,15 +4,16 @@ None of them shares code with the algorithm it checks: clique enumeration
 is a naive breadth-first growth with maximality checks over the orbit Hom
 sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
-window Hom dimensions, approximations are checked by rank counts, and
-the G-twist moves basis paths one by one.
+window Hom dimensions, approximations are checked by rank counts, the
+mesh category is rebuilt as paths modulo the mesh ideal, and the G-twist
+moves basis paths one by one.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
-from mcluster.derived import DVertex
+from mcluster.derived import DVertex, _vkey
 from mcluster.linalg import SpanBuilder
 from mcluster.quiver import Quiver, tits_form
 
@@ -164,11 +165,101 @@ def compose_coords(mesh, x, y, z, f, g):
     return out
 
 
-def g_twist(mesh, x, y, f):
+class PathSpace:
+    """Hom(x, y) as the span of the paths x -> y modulo the mesh relations
+    restricted to them; the basis is the set of non-pivot paths."""
+
+    def __init__(self, paths, index, relations):
+        self.paths = paths
+        self.index = index
+        self.relations = relations
+        pivots = set(relations.pivots())
+        self.basis_cols = [i for i in range(len(paths)) if i not in pivots]
+        self.dim = len(self.basis_cols)
+
+    def coords(self, vec):
+        red = self.relations.reduce(vec)
+        return [red[c] for c in self.basis_cols]
+
+
+class PathMeshCategory:
+    """The mesh category of a window model as paths modulo the mesh ideal:
+    every path of the window, and for each mesh tau z -> mids -> z one
+    all-plus relation row per (head, tail) pair of paths around it.  The
+    path count is exponential, so this is a reference for small ranks."""
+
+    def __init__(self, model):
+        self.model = model
+        self.meshes = [
+            (model.tau_raw(z), model.inn[z], z)
+            for z in model.vertices
+            if model.contains(model.tau_raw(z))
+        ]
+        self._paths = {}
+        self._spaces = {}
+
+    def paths(self, x, y):
+        key = (x, y)
+        if key not in self._paths:
+            out = []
+            stack = [(x,)] if x.shift <= y.shift else []
+            while stack:
+                p = stack.pop()
+                if p[-1] == y:
+                    out.append(p)
+                    continue
+                for w in self.model.out[p[-1]]:
+                    if w.shift <= y.shift:
+                        stack.append(p + (w,))
+            out.sort(key=lambda p: tuple(_vkey(v) for v in p))
+            self._paths[key] = out
+        return self._paths[key]
+
+    def space(self, x, y):
+        key = (x, y)
+        if key not in self._spaces:
+            paths = self.paths(x, y) if 0 <= y.shift - x.shift <= 1 else []
+            index = {p: i for i, p in enumerate(paths)}
+            rel = SpanBuilder(len(paths))
+            for start, mids, end in self.meshes if paths else ():
+                if start.shift < x.shift or end.shift > y.shift:
+                    continue
+                for p in self.paths(x, start):
+                    for q in self.paths(end, y):
+                        row = [0] * len(paths)
+                        for mid in mids:
+                            row[index[p + (mid,) + q]] += 1
+                        rel.add(row)
+            self._spaces[key] = PathSpace(paths, index, rel)
+        return self._spaces[key]
+
+    def compositions(self, x, y, z):
+        """The composition table in basis coordinates, f-major: the basis
+        paths concatenate."""
+        sxy, syz, sxz = self.space(x, y), self.space(y, z), self.space(x, z)
+        out = []
+        for i in sxy.basis_cols:
+            for j in syz.basis_cols:
+                vec = [0] * len(sxz.paths)
+                if sxz.dim:
+                    vec[sxz.index[sxy.paths[i] + syz.paths[j][1:]]] = 1
+                out.append(sxz.coords(vec))
+        return out
+
+    def factoring_dim(self, x, z, through):
+        sb = SpanBuilder(self.space(x, z).dim)
+        for w in through:
+            for row in self.compositions(x, w, z):
+                sb.add(row)
+        return sb.rank
+
+
+def g_twist(paths, x, y, f):
     """Image of f in Hom(x, y) under the automorphism G of the window, moved
-    path by path: G carries paths to paths and meshes to meshes."""
-    g = mesh.model.g
-    src, dst = mesh.space(x, y), mesh.space(g(x), g(y))
+    path by path on a PathMeshCategory: G carries paths to paths and meshes
+    to meshes."""
+    g = paths.model.g
+    src, dst = paths.space(x, y), paths.space(g(x), g(y))
     vec = [0] * len(dst.paths)
     for c, col in zip(f, src.basis_cols):
         vec[dst.index[tuple(g(v) for v in src.paths[col])]] += c

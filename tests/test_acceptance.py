@@ -3,6 +3,8 @@ scale, with one printed pass/fail line per criterion (run with -s to see
 them).  All tolerances are exact.
 """
 
+import pytest
+
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
@@ -17,6 +19,7 @@ from mcluster.derived import DerivedModel, DVertex
 from mcluster.endo import verify_factor_theorem
 from mcluster.localise import localise_object
 from mcluster.quiver import euler_form, make_quiver, preset
+from mcluster.verify import run_verify
 
 from oracles import compatible, fuss_catalan, naive_maximal_cliques
 
@@ -217,9 +220,10 @@ def test_criterion_7_factor_theorem(world):
 def test_criterion_8_invariant_suites(world):
     ok = True
     pairs = 0
-    # window-pair suites over the acceptance grid, including the mesh-basis
-    # versus hammock dimension agreement (asserted inside space())
-    for name, m in GRID:
+    # window-pair suites over the acceptance grid and every preset at m = 1,
+    # including the mesh-basis versus hammock dimension agreement (asserted
+    # inside space())
+    for name, m in GRID + [(p, 1) for p in ALL_PRESETS if (p, 1) not in GRID]:
         mod = world(name, m)
         mesh = mod.mesh_category()
         for x in mod.vertices:
@@ -264,4 +268,14 @@ def test_criterion_8_invariant_suites(world):
         "criterion-8 numerical invariant suites",
         ok,
         f"{pairs} pairs over the grid and {len(ALL_PRESETS)} presets",
+    )
+
+
+@pytest.mark.parametrize("name,target", [("E6", "cluster"), ("D5", "all")])
+def test_verify_passes_on_the_largest_presets(name, target):
+    rep = run_verify(preset(name), name, 1, target)
+    failed = [check for check, ok, _ in rep.checks if not ok]
+    _report(
+        f"verify {target} {name} m=1", rep.ok,
+        "failed: " + ", ".join(failed) if failed else f"{len(rep.checks)} checks",
     )

@@ -218,7 +218,12 @@ def test_window_overflow_is_resource_exit():
         "endo", "A2", "--m", "1", "--window", "0:0", "--object", "11[0],01[0]"
     )
     assert out.returncode == 3
-    assert "--window" in out.stderr and "check failed" not in out.stderr
+    assert "--window=LO:HI" in out.stderr and "check failed" not in out.stderr
+    # the suggested = form is the one argparse accepts with a negative LO
+    out = run_cli(
+        "endo", "A2", "--m", "1", "--window=-1:2", "--object", "11[0],01[0]"
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_ignored_flags_are_gone():

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from mcluster.derived import DVertex
-from mcluster.meshcat import minimal_right_approximation
+from mcluster.linalg import SpanBuilder
+from mcluster.meshcat import MeshCategory, minimal_right_approximation
 
 from oracles import (
+    PathMeshCategory,
     compose_coords,
     g_twist,
     units,
@@ -24,7 +26,8 @@ def test_identity_basis(world):
     x = V(mod, (1, 1))
     sp = mesh.space(x, x)
     assert sp.dim == 1
-    assert sp.paths == [(x,)]
+    # one free column, the identity
+    assert sp.cols == [(x, 0)] and sp.relations.rank == 0
 
 
 def test_a2_arrow_and_mesh_kill(world):
@@ -33,8 +36,10 @@ def test_a2_arrow_and_mesh_kill(world):
     p2, p1, s1 = V(mod, (0, 1)), V(mod, (1, 1)), V(mod, (1, 0))
     assert mesh.space(p2, p1).dim == 1
     assert mesh.space(p2, s1).dim == 0
-    # the one path p2 -> p1 -> s1 is the mesh relation, so it composes to 0
-    assert mesh.space(p2, s1).paths == [(p2, p1, s1)]
+    # the one column, p2 -> p1 followed by p1 -> s1, is the mesh relation
+    # at s1 = tau^-1 p2, so it composes to 0
+    sp = mesh.space(p2, s1)
+    assert len(sp.zero()) == 1 and sp.relations.rank == 1
     assert mesh.compositions(p2, p1, s1) == [[]]
 
 
@@ -100,32 +105,64 @@ def test_composition_associative_and_bilinear(world, name):
 
 
 def test_compositions_stop_at_a_zero_leg(world):
-    # building the other two spaces anyway costs a third more cold spaces
-    from mcluster.meshcat import MeshCategory
+    # a zero leg builds exactly what space() builds for the legs up to it;
+    # building the other spaces anyway costs more cold spaces per pass
+    def built(mod, *legs):
+        mesh = MeshCategory(mod)
+        for x, y in legs:
+            mesh.space(x, y)
+        return set(mesh._spaces)
 
     mod = world("A3", 1)
-    vs = [DVertex(v, 0) for v in mod.ar.vertices]
+    vs = [DVertex(v, t) for t in (0, 1) for v in mod.ar.vertices]
     zero = [(x, y) for x in vs for y in vs if mod.hom(x, y) == 0]
     assert zero
     for x, y in zero:
         for z in vs:
             mesh = MeshCategory(mod)
             assert mesh.compositions(x, y, z) == []
-            assert list(mesh._spaces) == [(x, y)]
+            assert set(mesh._spaces) == built(mod, (x, y))
             if mod.hom(z, x):
                 mesh = MeshCategory(mod)
                 assert mesh.compositions(z, x, y) == []
-                assert list(mesh._spaces) == [(z, x), (x, y)]
+                assert set(mesh._spaces) == built(mod, (z, x), (x, y))
+
+
+@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
+def test_compositions_match_the_path_oracle(world, name, m):
+    # for every triple at shifts 0 and 1: the rank of the composition table,
+    # and the maps x -> z factoring through y or a vertex before it
+    mod = world(name, m)
+    mesh, paths = mod.mesh_category(), PathMeshCategory(mod)
+    vs = [DVertex(v, t) for t in (0, 1) for v in mod.ar.vertices]
+    nonzero = 0
+    for x in vs:
+        for z in vs:
+            for i, y in enumerate(vs):
+                ranks = []
+                for cat in (mesh, paths):
+                    sb = SpanBuilder(cat.space(x, z).dim)
+                    for row in cat.compositions(x, y, z):
+                        sb.add(row)
+                    ranks.append(sb.rank)
+                assert ranks[0] == ranks[1], (x, y, z)
+                nonzero += ranks[0] > 0
+                if mod.hom(x, z):
+                    through = vs[: i + 1]
+                    assert mesh.factoring_dim(x, z, through) == paths.factoring_dim(
+                        x, z, through
+                    ), (x, y, z)
+    assert nonzero
 
 
 @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
 def test_g_carries_a_basis_onto_a_basis(world, name, m):
-    # _orbit_span in endo reads Hom(Gc, Gb) off its own basis on this fact
+    # _orbit_span in endo reads Hom(Gc, Gb) off its own basis on this fact;
+    # G moves basis paths of the path oracle one by one
     from mcluster.cluster import fundamental_domain
-    from mcluster.linalg import SpanBuilder
 
     mod = world(name, m)
-    mesh = mod.mesh_category()
+    mesh, paths = mod.mesh_category(), PathMeshCategory(mod)
     dom = fundamental_domain(mod).vertices
     checked = 0
     for c in dom:
@@ -136,7 +173,7 @@ def test_g_carries_a_basis_onto_a_basis(world, name, m):
             assert mesh.space(mod.g(c), mod.g(b)).dim == d
             sb = SpanBuilder(d)
             for f in units(d):
-                sb.add(g_twist(mesh, c, b, f))
+                sb.add(g_twist(paths, c, b, f))
             assert sb.rank == d
             checked += d
     assert checked
