@@ -13,6 +13,7 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .arquiver import ARQuiver, ARVertex, knit_module_category
@@ -116,6 +117,10 @@ class DerivedModel:
                 raise InternalCheckError(f"mesh mismatch at {z}")
         self._mesh_cat = None
         self._algebras: dict[tuple[DVertex, ...], ProjectiveAlgebra] = {}
+        # one window model per quiver for this model and all models built from
+        # it, which share this dict; weak values, because a model's cached
+        # perpendicular data reaches the family and must not keep it alive
+        self._family: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def mesh_category(self):
         if self._mesh_cat is None:
@@ -131,7 +136,8 @@ class DerivedModel:
         In _vkey order reps[a] becomes P(a+1).  The Cartan matrix
         C[a][b] = dim Hom(P(b), P(a)) counts paths a -> b, and is
         unitriangular by directedness; H0 is hereditary, so its arrow matrix
-        is I - C^-1, found row by row by forward substitution.
+        is I - C^-1, found row by row by forward substitution.  Algebras with
+        equal quivers share one window model across the family of this model.
         """
         reps = tuple(sorted(reps, key=_vkey))
         hit = self._algebras.get(reps)
@@ -155,9 +161,12 @@ class DerivedModel:
             for b, count in enumerate(counts):
                 arrows += [(labels[a], labels[b])] * count
         q = make_quiver(labels, arrows, connected=False) if k else Quiver((), ())
-        alg = ProjectiveAlgebra(
-            q, DerivedModel(knit_module_category(q), self.m, self.window), reps, self
-        )
+        model = self._family.get(q)
+        if model is None:
+            model = DerivedModel(knit_module_category(q), self.m, self.window)
+            model._family = self._family
+            self._family[q] = model
+        alg = ProjectiveAlgebra(q, model, reps, self)
         self._algebras[reps] = alg
         return alg
 

@@ -16,7 +16,7 @@ from .cluster import MRigidObject
 from .derived import DerivedModel, DVertex, _vkey
 from .errors import InternalCheckError
 from .linalg import SpanBuilder
-from .localise import perpendicular_algebra, project_to_D0
+from .localise import LocalisedObject, localise_object, project_to_D0
 
 
 @dataclass
@@ -122,6 +122,7 @@ def factor_arrows(model: DerivedModel, t, M: DVertex):
 @dataclass
 class FactorReport:
     summands: tuple[DVertex, ...]
+    localised: LocalisedObject
     factor_matrix: tuple
     localised_matrix: tuple
     factor_arrow_counts: tuple
@@ -138,27 +139,17 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     """Compare End(t)/(M) with the endomorphism data of the localised object.
 
     Both the dimension matrices and the Gabriel arrow counts must agree; the
-    localised side is computed twice, once through D0 fingerprints in the
-    parent window and once inside the fresh H' model, and the two must
-    match as well.
+    localised side is computed twice, once through the D0 images of
+    `localise_object` in the parent window and once inside the H' window
+    model of the perpendicular data, and the two must match as well.
     """
     t = frozenset(t)
-    if M not in t:
-        raise ValueError("M must be a summand of t")
-    if not 0 <= M.shift <= model.m - 1:
-        raise ValueError("deg(M) must lie in [0, m-1]; normalize first")
+    loc = localise_object(model, t, M)
     order = [v for v in _summand_order(t) if v != M]
-    pd = perpendicular_algebra(model, M)
     fmat = factor_dims(model, t, M)
     farrows = factor_arrows(model, t, M)
 
-    images = []
-    for a in order:
-        img = project_to_D0(model, a, pd)
-        if img.total() != 1:
-            raise InternalCheckError(f"image of {a} is not indecomposable")
-        images.append(img.summands[0][0])
-
+    pd, images = loc.pd, loc.images
     g_images = [project_to_D0(model, model.g(yb), pd) for yb in images]
     lmat = tuple(
         tuple(
@@ -169,10 +160,9 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     )
 
     if pd.H_prime.n:
-        prime = [pd.to_prime(v) for v in images]
-        pdata = endo_dims(pd.prime_model, prime)
+        pdata = endo_dims(pd.prime_model, loc.prime_summands)
         # endo_dims sorts its summands; map back to our image order
-        perm = [pdata.summands.index(p) for p in prime]
+        perm = [pdata.summands.index(pd.to_prime(v)) for v in images]
         pmat = tuple(
             tuple(pdata.hom_dims[i][j] for j in perm) for i in perm
         )
@@ -189,6 +179,7 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
 
     return FactorReport(
         summands=tuple(order),
+        localised=loc,
         factor_matrix=fmat,
         localised_matrix=lmat,
         factor_arrow_counts=farrows,

@@ -36,7 +36,6 @@ class PerpendicularData:
     H_prime: Quiver
     prime_model: DerivedModel
     module_map: dict[ARVertex, ARVertex]  # U member -> H' module vertex
-    d0_order: tuple[DVertex, ...]
 
     def to_prime(self, v: DVertex) -> DVertex:
         """H'-coordinates of a D0 window vertex U[i]."""
@@ -75,10 +74,6 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     ):
         raise InternalCheckError("U_M does not match mod H'")
 
-    lo, hi = model.window
-    d0 = sorted(
-        (DVertex(u, i) for u in members for i in range(lo, hi + 1)), key=_vkey
-    )
     pd = PerpendicularData(
         base_module=base,
         U_members=members,
@@ -86,7 +81,6 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
         H_prime=alg.quiver,
         prime_model=alg.model,
         module_map=module_map,
-        d0_order=tuple(d0),
     )
     cache[base] = pd
     return pd
@@ -95,34 +89,33 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
 def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularData) -> DObject:
     """The image of w in D0, solved from its Hom fingerprint.
 
-    The unknown multiplicities of D0 window vertices satisfy a unitriangular
-    integer system against hom(-, U) for U running over D0 (directedness
-    gives the triangle, bricks the unit diagonal), so a forward substitution
-    in the (degree, slice) order solves it exactly.
+    The image lives only in the degrees of w and one above, so the unknowns
+    are the multiplicities of U[d] for U in U_M and d among those degrees.
+    They satisfy a unitriangular integer system against hom(-, U[d])
+    (directedness gives the triangle, bricks the unit diagonal), solved
+    exactly by forward substitution in degree order and, within a degree,
+    in the creation order of U_M, which is topological.
     """
     if isinstance(w, DVertex):
         w = DObject.of([w])
-    lo, hi = model.window
-    if w.summands and max(v.shift for v, _ in w.summands) + 1 > hi:
-        # the image can only live in the degrees of w and one above, so this
-        # is the exact condition for the window to see all of its support
+    degrees = sorted({v.shift + e for v, _ in w.summands for e in (0, 1)})
+    if degrees and degrees[-1] > model.window[1]:
+        # this is the exact condition for the window to see all of its support
         raise WindowOverflow(
             f"projection of {w.name()} may exceed the window {model.window}"
         )
     coeffs: dict[DVertex, int] = {}
-    for u in pd.d0_order:
-        b = sum(mult * model.hom(v, u) for v, mult in w.summands)
-        acc = 0
-        for v, c in coeffs.items():
-            if c:
-                acc += c * model.hom(v, u)
-        c_u = b - acc
-        if c_u < 0:
-            raise WindowOverflow(
-                f"fingerprint solve went negative at {u}; enlarge the window"
-            )
-        if c_u:
-            coeffs[u] = c_u
+    for d in degrees:
+        for member in pd.U_members:
+            u = DVertex(member, d)
+            b = sum(mult * model.hom(v, u) for v, mult in w.summands)
+            c_u = b - sum(c * model.hom(v, u) for v, c in coeffs.items())
+            if c_u < 0:
+                raise WindowOverflow(
+                    f"fingerprint solve went negative at {u}; enlarge the window"
+                )
+            if c_u:
+                coeffs[u] = c_u
     return DObject(tuple(sorted(coeffs.items(), key=lambda it: _vkey(it[0]))))
 
 
@@ -162,6 +155,7 @@ def approximation_triangle(
 @dataclass
 class LocalisedObject:
     pd: PerpendicularData
+    images: list[DVertex]  # D0 images of t - M, in _vkey order of t - M
     prime_summands: frozenset[DVertex]  # in the H' model
 
 
@@ -209,4 +203,4 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
             raise InternalCheckError("localised object is not m-rigid over H'")
         if not g.is_maximal(prime_set):
             raise InternalCheckError("localised object is not maximal over H'")
-    return LocalisedObject(pd=pd, prime_summands=prime_set)
+    return LocalisedObject(pd=pd, images=images, prime_summands=prime_set)

@@ -23,7 +23,7 @@ from .cluster import (
 from .derived import DerivedModel, DVertex
 from .endo import verify_factor_theorem
 from .errors import InternalCheckError
-from .localise import approximation_triangle, localise_object
+from .localise import approximation_triangle
 from .quiver import Quiver, euler_form
 
 
@@ -194,46 +194,32 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
     report.add("tilting-modules-embed", ok, f"{len(tms)} tilting modules")
 
 
-def check_localisation(model: DerivedModel, objs, report: VerificationReport):
-    """Localise every object at every summand M, and build the approximation
+def check_localisation_and_factor(model: DerivedModel, objs, report: VerificationReport):
+    """Check the factor theorem for every object at every summand M, read
+    the localisation at M off its report, and build the approximation
     triangle of every other summand by the shifts of M."""
     n = model.quiver.n
     runs = 0
-    ok = True
-    detail = ""
-    try:
-        for o in objs:
-            norm = normalize_to_Dminus(model, o.summands)
-            for msum in sorted(norm.summands, key=lambda u: u.name()):
-                loc = localise_object(norm.world, norm.summands, msum)
-                runs += 1
-                if len(loc.prime_summands) != n - 1:
-                    ok = False
-                for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
-                    approximation_triangle(norm.world, x, loc.pd)
-    except (InternalCheckError, ValueError) as exc:
-        ok = False
-        detail = str(exc)
-    report.add("localisation-sweep", ok, detail or f"{runs} localisations")
-
-
-def check_factor_theorem(model: DerivedModel, objs, report: VerificationReport):
-    runs = 0
-    ok = True
-    detail = ""
+    loc_ok = factor_ok = True
+    loc_detail = factor_detail = ""
     try:
         for o in objs:
             norm = normalize_to_Dminus(model, o.summands)
             for msum in sorted(norm.summands, key=lambda u: u.name()):
                 rep = verify_factor_theorem(norm.world, norm.summands, msum)
                 runs += 1
+                if len(rep.localised.prime_summands) != n - 1:
+                    loc_ok = False
+                for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
+                    approximation_triangle(norm.world, x, rep.localised.pd)
                 if not rep.ok:
-                    ok = False
-                    detail = f"disagreement at {msum} in {o.name()}"
-    except InternalCheckError as exc:
-        ok = False
-        detail = str(exc)
-    report.add("factor-theorem-sweep", ok, detail or f"{runs} pairs checked")
+                    factor_ok = False
+                    factor_detail = f"disagreement at {msum} in {o.name()}"
+    except (InternalCheckError, ValueError) as exc:
+        loc_ok = factor_ok = False
+        loc_detail = factor_detail = str(exc)
+    report.add("localisation-sweep", loc_ok, loc_detail or f"{runs} localisations")
+    report.add("factor-theorem-sweep", factor_ok, factor_detail or f"{runs} pairs checked")
 
 
 def run_verify(
@@ -254,7 +240,6 @@ def run_verify(
     objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
     check_cluster_theorems(model, g, objs, report)
     if target == "all":
-        check_localisation(model, objs, report)
-        check_factor_theorem(model, objs, report)
+        check_localisation_and_factor(model, objs, report)
     report.elapsed = time.monotonic() - start
     return report

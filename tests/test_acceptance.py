@@ -16,6 +16,7 @@ from mcluster.cluster import (
     tilting_modules,
 )
 from mcluster.derived import DerivedModel, DVertex
+from mcluster import endo
 from mcluster.endo import verify_factor_theorem
 from mcluster.localise import localise_object
 from mcluster.quiver import euler_form, make_quiver, preset
@@ -279,3 +280,32 @@ def test_verify_passes_on_the_largest_presets(name, target):
         f"verify {target} {name} m=1", rep.ok,
         "failed: " + ", ".join(failed) if failed else f"{len(rep.checks)} checks",
     )
+
+
+def _sweeps(rep):
+    return {name: (ok, details) for name, ok, details in rep.checks if name.endswith("-sweep")}
+
+
+def test_a_factor_disagreement_fails_only_the_factor_sweep(monkeypatch):
+    factor_dims = endo.factor_dims
+    monkeypatch.setattr(
+        endo, "factor_dims",
+        lambda *args: tuple(tuple(d + 1 for d in row) for row in factor_dims(*args)),
+    )
+    sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
+    assert sweeps["localisation-sweep"] == (True, "42 localisations")
+    ok, details = sweeps["factor-theorem-sweep"]
+    assert not ok and details.startswith("disagreement at ")
+
+
+def test_a_value_error_in_the_factor_step_fails_both_sweeps(monkeypatch):
+    def broken(*args):
+        raise ValueError("broken factor step")
+
+    monkeypatch.setattr(endo, "factor_arrows", broken)
+    rep = run_verify(preset("A3"), "A3", 1, "all")
+    assert not rep.ok
+    assert _sweeps(rep) == {
+        "localisation-sweep": (False, "broken factor step"),
+        "factor-theorem-sweep": (False, "broken factor step"),
+    }

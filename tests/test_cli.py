@@ -151,9 +151,18 @@ def test_clique_cap_exit_code():
 
 
 def test_verify_json_deterministic():
-    a = run_cli("verify", "cluster", "A2", "--m", "1", "--json")
-    b = run_cli("verify", "cluster", "A2", "--m", "1", "--json")
-    assert a.stdout == b.stdout
+    for target in ("cluster", "all"):
+        a = run_cli("verify", target, "A2", "--m", "1", "--json")
+        b = run_cli("verify", target, "A2", "--m", "1", "--json")
+        assert a.returncode == 0 and a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
+def test_verify_all_json_matches_golden(name, m):
+    out = run_cli("verify", "all", name, "--m", str(m), "--json")
+    assert out.returncode == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_all_{name}_m{m}.json"
+    assert out.stdout.encode() == golden.read_bytes()
 
 
 def test_window_flag():

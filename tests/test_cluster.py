@@ -271,6 +271,23 @@ def test_vertex_outside_the_domain_is_rejected(world):
             call([V(mod, (0, 1)), far])
 
 
+def test_equal_quivers_share_one_window_model():
+    # slices and perpendicular categories with equal quivers get one model
+    model = DerivedModel(knit_module_category(preset("D4")), 1)
+    worlds, primes = {}, {}
+    resliced = perps = 0
+    for o in enumerate_maximal_m_rigid(compatibility_graph(model)):
+        norm = normalize_to_Dminus(model, o.summands)
+        if not norm.identity:
+            resliced += 1
+            assert worlds.setdefault(norm.world.quiver, norm.world) is norm.world
+        for M in norm.summands:
+            pd = perpendicular_algebra(norm.world, M)
+            perps += 1
+            assert primes.setdefault(pd.H_prime, pd.prime_model) is pd.prime_model
+    assert len(worlds) < resliced and len(primes) < perps
+
+
 def test_layer_caches_release_the_model():
     # graphs, slices and perpendicular data are cached weakly in the model, so
     # a dropped model is freed together with the worlds built from it

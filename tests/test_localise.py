@@ -131,18 +131,19 @@ def test_project_additive(world):
     assert dict(joint.summands) == merged
 
 
-@pytest.mark.parametrize("name,m", [("A2", 1), ("A3", 1), ("A3", 2)])
+@pytest.mark.parametrize("name,m", [("A2", 1), ("A3", 1), ("A3", 2), ("D4", 1)])
 def test_project_preserves_fingerprint(world, name, m):
+    # the solve reads only the degrees of w and one above; the fingerprint
+    # must hold against all of D0 in the window
     mod = world(name, m)
     lo, hi = mod.window
     for base in mod.ar.vertices:
         M = DVertex(base, 0)
         pd = perpendicular_algebra(mod, M)
+        d0 = [DVertex(u, i) for u in pd.U_members for i in range(lo, hi)]
         for w in [DVertex(v, s) for v in mod.ar.vertices for s in (0, 1)]:
             img = project_to_D0(mod, w, pd)
-            for u in pd.d0_order:
-                if u.shift > hi - 1:
-                    continue
+            for u in d0:
                 lhs = sum(c * mod.hom(v, u) for v, c in img.summands)
                 assert lhs == mod.hom(w, u)
 
