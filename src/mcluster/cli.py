@@ -101,6 +101,14 @@ def parse_domain_object(model, g, text) -> frozenset:
     return frozenset(summands)
 
 
+def clique_cap(text: str) -> int:
+    """--max-cliques: a count, so 0 or more."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 def build_model(args) -> tuple[DerivedModel, str]:
     q, name = load_quiver(args.quiver)
     m = getattr(args, "m", 1)
@@ -391,7 +399,8 @@ def make_parser():
             sp.add_argument("--window", default=None, help="shift window, as --window=LO:HI")
         if with_cap:
             sp.add_argument(
-                "--max-cliques", type=int, default=None, help="cap on enumerated cliques"
+                "--max-cliques", type=clique_cap, default=None,
+                help="cap on enumerated cliques",
             )
 
     sp = sub.add_parser("roots", help="positive roots of the underlying diagram")

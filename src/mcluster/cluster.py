@@ -109,7 +109,6 @@ def compatibility_graph(model: DerivedModel) -> CompatibilityGraph:
 @dataclass(frozen=True)
 class MRigidObject:
     summands: frozenset[DVertex]
-    maximal: bool
 
     def sorted_summands(self) -> tuple[DVertex, ...]:
         return tuple(sorted(self.summands, key=_vkey))
@@ -153,7 +152,7 @@ def enumerate_maximal_m_rigid(
     objs = []
     for mask in sorted(masks):
         members = frozenset(g.nodes[i] for i in _bits(mask))
-        objs.append(MRigidObject(members, maximal=True))
+        objs.append(MRigidObject(members))
     return objs
 
 
@@ -219,30 +218,16 @@ def tilting_modules(ar: ARQuiver) -> list[frozenset[ARVertex]]:
 
 
 def _tau_orbits(model: DerivedModel) -> list[list[DVertex]]:
-    """Window vertices grouped by tau-orbit, each sorted along the orbit."""
-    seen = {}
+    """Window vertices grouped by tau-orbit, each sorted along the orbit: the
+    window part of an orbit is one run (shifts are monotone along it), walked
+    by tau^-1 from the vertex whose tau leaves the window."""
     orbits = []
     for v in model.vertices:
-        if v in seen:
+        if model.contains(model.tau_raw(v)):
             continue
         orbit = [v]
-        seen[v] = True
-        cur = v
-        while True:
-            nxt = model.tau_inv_raw(cur)
-            if not model.contains(nxt) or nxt in seen:
-                break
-            orbit.append(nxt)
-            seen[nxt] = True
-            cur = nxt
-        cur = v
-        while True:
-            prv = model.tau_raw(cur)
-            if not model.contains(prv) or prv in seen:
-                break
-            orbit.insert(0, prv)
-            seen[prv] = True
-            cur = prv
+        while model.contains(model.tau_inv_raw(orbit[-1])):
+            orbit.append(model.tau_inv_raw(orbit[-1]))
         orbits.append(orbit)
     if len(orbits) != model.quiver.n:
         raise InternalCheckError(

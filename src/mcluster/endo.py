@@ -5,38 +5,40 @@ window pieces, Hom(a, b) and Hom(a, Gb), and spans of composites are built
 blockwise from the mesh category's composition tables.  The Gabriel quiver
 comes from rad/rad^2 computed on explicit mesh bases, and the factor
 theorem compares the quotient by maps through a chosen summand with the
-endomorphism data of the localised object.
+endomorphism data of the localised object.  Both sides of that comparison
+are read off End(T), which is computed once per model and object.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from .cluster import MRigidObject
 from .derived import DerivedModel, DVertex, _vkey
 from .errors import InternalCheckError
 from .linalg import SpanBuilder
 from .localise import LocalisedObject, localise_object, project_to_D0
 
+# End(T) per model, keyed by the summands of T in _vkey order
+_endos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-@dataclass
+
+@dataclass(frozen=True)
 class EndoAlgebraData:
     summands: tuple[DVertex, ...]
     hom_dims: tuple[tuple[int, ...], ...]
     rad_sq_dims: tuple[tuple[int, ...], ...]
     arrows: tuple[tuple[int, ...], ...]
+    # [i][j][k]: dim of the maps summand i -> summand j through summand k,
+    # for k not in {i, j} (0 there)
+    through_dims: tuple[tuple[tuple[int, ...], ...], ...]
     total_dim: int
 
 
-def _summand_order(t) -> tuple[DVertex, ...]:
-    if isinstance(t, MRigidObject):
-        t = t.summands
-    return tuple(sorted(t, key=_vkey))
-
-
-def _orbit_span(model: DerivedModel, a, b, mids) -> SpanBuilder:
+def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
     """Span in Hom_C(a, b) = Hom(a, b) + Hom(a, Gb) of the composites
-    a -> c -> b over c in mids.
+    a -> c -> b over c in mids, and the rank of those through each c alone,
+    keyed by c.
 
     Block 0 comes from a -> c -> b; block 1 from a -> c -> Gb and
     a -> Gc -> Gb.  G carries a basis of Hom(c, b) onto a basis of
@@ -48,27 +50,38 @@ def _orbit_span(model: DerivedModel, a, b, mids) -> SpanBuilder:
     d0 = mesh.space(a, b).dim
     d1 = mesh.space(a, gb).dim
     sb = SpanBuilder(d0 + d1)
+    through = {}
     for c in mids:
         gc = model.g(c)
-        for row in mesh.compositions(a, c, b):
-            sb.add(row + [0] * d1)
+        one = SpanBuilder(d0 + d1)
+        rows = [row + [0] * d1 for row in mesh.compositions(a, c, b)]
         for row in mesh.compositions(a, c, gb) + mesh.compositions(a, gc, gb):
-            sb.add([0] * d0 + row)
+            rows.append([0] * d0 + row)
+        for row in rows:
+            sb.add(row)
+            one.add(row)
+        through[c] = one.rank
         if model.hom(a, gc) and model.hom(c, gb) and model.hom(a, model.g_raw(b, 2)):
             raise InternalCheckError("nonzero G^2 component in a composition")
-    return sb
+    return sb, through
 
 
 def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
-    """Hom matrix, rad^2 matrix and Gabriel arrow counts of End(t)."""
-    order = _summand_order(t)
+    """Hom matrix, rad^2 matrix, Gabriel arrow counts and the dimensions of
+    the maps through each single summand of End(t); memoised per model."""
+    order = tuple(sorted(t, key=_vkey))
+    memo = _endos.setdefault(model, {})
+    if order in memo:
+        return memo[order]
     n = len(order)
     hom = [[0] * n for _ in range(n)]
     radsq = [[0] * n for _ in range(n)]
     arrows = [[0] * n for _ in range(n)]
+    through = [[()] * n for _ in range(n)]
     for i, a in enumerate(order):
         for j, b in enumerate(order):
-            sb = _orbit_span(model, a, b, [c for c in order if c != a and c != b])
+            sb, ranks = _orbit_span(model, a, b, [c for c in order if c != a and c != b])
+            through[i][j] = tuple(ranks.get(c, 0) for c in order)
             hom[i][j] = sb.width
             if i == j:
                 if sb.width != 1:
@@ -80,48 +93,33 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
                 continue
             radsq[i][j] = sb.rank
             arrows[i][j] = sb.width - sb.rank
-    return EndoAlgebraData(
+    memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),
         rad_sq_dims=tuple(tuple(r) for r in radsq),
         arrows=tuple(tuple(r) for r in arrows),
+        through_dims=tuple(tuple(r) for r in through),
         total_dim=sum(sum(r) for r in hom),
     )
+    return memo[order]
 
 
 def factor_dims(model: DerivedModel, t, M: DVertex):
     """Dimension matrix of End(t)/(maps through add M), over summands != M."""
-    order = [v for v in _summand_order(t) if v != M]
-    out = []
-    for a in order:
-        row = []
-        for b in order:
-            sb = _orbit_span(model, a, b, [M])
-            row.append(sb.width - sb.rank)
-        out.append(tuple(row))
-    return tuple(out)
+    ed = endo_dims(model, t)
+    k = ed.summands.index(M)  # a ValueError unless M is a summand of t
+    keep = [i for i in range(len(ed.summands)) if i != k]
+    return tuple(
+        tuple(ed.hom_dims[i][j] - ed.through_dims[i][j][k] for j in keep) for i in keep
+    )
 
 
-def factor_arrows(model: DerivedModel, t, M: DVertex):
-    """Gabriel arrow counts of the factor algebra End(t)/(M)."""
-    order = [v for v in _summand_order(t) if v != M]
-    out = []
-    for a in order:
-        row = []
-        for b in order:
-            if a == b:
-                row.append(0)
-                continue
-            mids = [c for c in order if c != a and c != b] + [M]
-            sb = _orbit_span(model, a, b, mids)
-            row.append(sb.width - sb.rank)
-        out.append(tuple(row))
-    return tuple(out)
+def _submatrix(matrix, idx):
+    return tuple(tuple(matrix[i][j] for j in idx) for i in idx)
 
 
 @dataclass
 class FactorReport:
-    summands: tuple[DVertex, ...]
     localised: LocalisedObject
     factor_matrix: tuple
     localised_matrix: tuple
@@ -142,12 +140,15 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     localised side is computed twice, once through the D0 images of
     `localise_object` in the parent window and once inside the H' window
     model of the perpendicular data, and the two must match as well.
+
+    A map a -> b through M lies in rad^2 when a, b != M, so the arrows of
+    End(t)/(M) are those of End(t) without the row and column of M.
     """
     t = frozenset(t)
     loc = localise_object(model, t, M)
-    order = [v for v in _summand_order(t) if v != M]
     fmat = factor_dims(model, t, M)
-    farrows = factor_arrows(model, t, M)
+    ed = endo_dims(model, t)
+    farrows = _submatrix(ed.arrows, [i for i, v in enumerate(ed.summands) if v != M])
 
     pd, images = loc.pd, loc.images
     g_images = [project_to_D0(model, model.g(yb), pd) for yb in images]
@@ -163,12 +164,8 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
         pdata = endo_dims(pd.prime_model, loc.prime_summands)
         # endo_dims sorts its summands; map back to our image order
         perm = [pdata.summands.index(pd.to_prime(v)) for v in images]
-        pmat = tuple(
-            tuple(pdata.hom_dims[i][j] for j in perm) for i in perm
-        )
-        larrows = tuple(
-            tuple(pdata.arrows[i][j] for j in perm) for i in perm
-        )
+        pmat = _submatrix(pdata.hom_dims, perm)
+        larrows = _submatrix(pdata.arrows, perm)
         if pmat != lmat:
             raise InternalCheckError(
                 "localised dimensions disagree between the D0 fingerprint "
@@ -178,7 +175,6 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
         larrows = tuple()
 
     return FactorReport(
-        summands=tuple(order),
         localised=loc,
         factor_matrix=fmat,
         localised_matrix=lmat,

@@ -12,7 +12,7 @@ rings.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arquiver import ARVertex
 from .cluster import compatibility_graph
@@ -36,6 +36,8 @@ class PerpendicularData:
     H_prime: Quiver
     prime_model: DerivedModel
     module_map: dict[ARVertex, ARVertex]  # U member -> H' module vertex
+    # D0 image of each window vertex projected so far (see project_to_D0)
+    images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_prime(self, v: DVertex) -> DVertex:
         """H'-coordinates of a D0 window vertex U[i]."""
@@ -94,10 +96,14 @@ def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularDa
     They satisfy a unitriangular integer system against hom(-, U[d])
     (directedness gives the triangle, bricks the unit diagonal), solved
     exactly by forward substitution in degree order and, within a degree,
-    in the creation order of U_M, which is topological.
+    in the creation order of U_M, which is topological.  The image of a
+    vertex is memoised on pd, which must be the perpendicular data of model.
     """
     if isinstance(w, DVertex):
-        w = DObject.of([w])
+        img = pd.images.get(w)
+        if img is None:
+            img = pd.images[w] = project_to_D0(model, DObject.of([w]), pd)
+        return img
     degrees = sorted({v.shift + e for v, _ in w.summands for e in (0, 1)})
     if degrees and degrees[-1] > model.window[1]:
         # this is the exact condition for the window to see all of its support
@@ -141,9 +147,7 @@ def approximation_triangle(
     if any(k0):
         raise InternalCheckError(f"[x] - [C] != [cone] in K0 for x = {x}")
     lo, hi = model.window
-    for c, mult in tri.approx_source.summands:
-        if not mult:
-            continue
+    for c, _ in tri.approx_source.summands:
         for t in range(1, hi - c.shift + 1):
             if model.hom(x, DVertex(c.module, c.shift + t)) != 0:
                 raise InternalCheckError(

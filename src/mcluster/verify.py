@@ -197,11 +197,12 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
 def check_localisation_and_factor(model: DerivedModel, objs, report: VerificationReport):
     """Check the factor theorem for every object at every summand M, read
     the localisation at M off its report, and build the approximation
-    triangle of every other summand by the shifts of M."""
+    triangle of every other summand by the shifts of M.  A disagreement is
+    reported at the first pair, with the count of all disagreeing pairs."""
     n = model.quiver.n
-    runs = 0
+    runs = disagreements = 0
     loc_ok = factor_ok = True
-    loc_detail = factor_detail = ""
+    loc_detail = factor_detail = first = ""
     try:
         for o in objs:
             norm = normalize_to_Dminus(model, o.summands)
@@ -213,8 +214,11 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
                 for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
                     approximation_triangle(norm.world, x, rep.localised.pd)
                 if not rep.ok:
-                    factor_ok = False
-                    factor_detail = f"disagreement at {msum} in {o.name()}"
+                    disagreements += 1
+                    first = first or f"disagreement at {msum} in {o.name()}"
+        if disagreements:
+            factor_ok = False
+            factor_detail = f"{first}; {disagreements} of {runs} pairs disagree"
     except (InternalCheckError, ValueError) as exc:
         loc_ok = factor_ok = False
         loc_detail = factor_detail = str(exc)

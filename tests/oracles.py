@@ -6,7 +6,9 @@ sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
 window Hom dimensions, approximations are checked by rank counts, the
 mesh category is rebuilt as paths modulo the mesh ideal, and the G-twist
-moves basis paths one by one.
+moves basis paths one by one.  The factor-algebra references are the
+exception: they share the orbit span of `mcluster.endo`, build it afresh
+for every summand M, and so check how End(T)/(M) is read off End(T).
 """
 
 from dataclasses import replace
@@ -14,6 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from mcluster.derived import DVertex, _vkey
+from mcluster.endo import _orbit_span
 from mcluster.linalg import SpanBuilder
 from mcluster.quiver import Quiver, tits_form
 
@@ -292,3 +295,39 @@ def verify_minimality(mesh, tri, cls) -> bool:
             if verify_approximation(mesh, replace(tri, maps=maps), cls):
                 return False
     return True
+
+
+# --- factor algebras End(T)/(M) from spans built per summand ----------------
+
+
+def factor_dims(model, t, M):
+    """Dimension matrix of End(t)/(M): for summands a, b != M, dim Hom_C(a, b)
+    minus the rank of the composites a -> M -> b."""
+    order = sorted((v for v in t if v != M), key=_vkey)
+    out = []
+    for a in order:
+        row = []
+        for b in order:
+            sb, _ = _orbit_span(model, a, b, [M])
+            row.append(sb.width - sb.rank)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def factor_arrows(model, t, M):
+    """Gabriel arrow counts of End(t)/(M): for summands a != b, both != M,
+    dim Hom_C(a, b) minus the rank of the composites through M and through
+    the summands other than a, b and M."""
+    order = sorted((v for v in t if v != M), key=_vkey)
+    out = []
+    for a in order:
+        row = []
+        for b in order:
+            if a == b:
+                row.append(0)
+                continue
+            mids = [c for c in order if c != a and c != b] + [M]
+            sb, _ = _orbit_span(model, a, b, mids)
+            row.append(sb.width - sb.rank)
+        out.append(tuple(row))
+    return tuple(out)

@@ -22,7 +22,13 @@ from mcluster.localise import localise_object
 from mcluster.quiver import euler_form, make_quiver, preset
 from mcluster.verify import run_verify
 
-from oracles import compatible, fuss_catalan, naive_maximal_cliques
+from oracles import (
+    compatible,
+    factor_arrows,
+    factor_dims,
+    fuss_catalan,
+    naive_maximal_cliques,
+)
 
 GRID = (
     [(f"A{n}", m) for n in range(1, 5) for m in (1, 2, 3)]
@@ -218,6 +224,16 @@ def test_criterion_7_factor_theorem(world):
     )
 
 
+def test_factor_algebras_match_the_span_oracles(world):
+    # End(T)/(M) read off End(T) equals the spans built afresh per summand
+    presets = [(name, m) for name in ("A2", "A3") for m in (1, 2)]
+    for mod in _local_grid(world, presets):
+        for norm, M in _normalized_pairs(mod):
+            rep = verify_factor_theorem(norm.world, norm.summands, M)
+            assert rep.factor_matrix == factor_dims(norm.world, norm.summands, M)
+            assert rep.factor_arrow_counts == factor_arrows(norm.world, norm.summands, M)
+
+
 def test_criterion_8_invariant_suites(world):
     ok = True
     pairs = 0
@@ -287,22 +303,23 @@ def _sweeps(rep):
 
 
 def test_a_factor_disagreement_fails_only_the_factor_sweep(monkeypatch):
-    factor_dims = endo.factor_dims
+    read = endo.factor_dims
     monkeypatch.setattr(
         endo, "factor_dims",
-        lambda *args: tuple(tuple(d + 1 for d in row) for row in factor_dims(*args)),
+        lambda *args: tuple(tuple(d + 1 for d in row) for row in read(*args)),
     )
     sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     assert sweeps["localisation-sweep"] == (True, "42 localisations")
     ok, details = sweeps["factor-theorem-sweep"]
     assert not ok and details.startswith("disagreement at ")
+    assert details.endswith("; 42 of 42 pairs disagree")
 
 
 def test_a_value_error_in_the_factor_step_fails_both_sweeps(monkeypatch):
     def broken(*args):
         raise ValueError("broken factor step")
 
-    monkeypatch.setattr(endo, "factor_arrows", broken)
+    monkeypatch.setattr(endo, "endo_dims", broken)
     rep = run_verify(preset("A3"), "A3", 1, "all")
     assert not rep.ok
     assert _sweeps(rep) == {

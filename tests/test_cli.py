@@ -148,6 +148,16 @@ def test_quiver_file_accepted(tmp_path):
 def test_clique_cap_exit_code():
     out = run_cli("enumerate", "A3", "--m", "2", "--max-cliques", "5")
     assert out.returncode == 3
+    out = run_cli("enumerate", "A3", "--m", "1", "--max-cliques", "0")
+    assert out.returncode == 3
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["verify", "cluster"]])
+def test_negative_clique_cap_is_usage_error(command):
+    out = run_cli(*command, "A3", "--m", "1", "--max-cliques", "-5")
+    assert out.returncode == 2
+    assert "--max-cliques: must be at least 0" in out.stderr
+    assert "Traceback" not in out.stderr and "capped" not in out.stderr
 
 
 def test_verify_json_deterministic():
@@ -157,7 +167,7 @@ def test_verify_json_deterministic():
         assert a.returncode == 0 and a.stdout == b.stdout
 
 
-@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
+@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("D4", 2)])
 def test_verify_all_json_matches_golden(name, m):
     out = run_cli("verify", "all", name, "--m", str(m), "--json")
     assert out.returncode == 0

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from mcluster import endo
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
@@ -14,7 +15,8 @@ from mcluster.cluster import (
     normalize_to_Dminus,
     tilting_modules,
 )
-from mcluster.derived import DerivedModel, DVertex
+from mcluster.derived import DerivedModel, DVertex, _vkey
+from mcluster.endo import verify_factor_theorem
 from mcluster.errors import CliqueCapExceeded
 from mcluster.localise import perpendicular_algebra
 from mcluster.quiver import make_quiver, positive_roots, preset
@@ -289,8 +291,9 @@ def test_equal_quivers_share_one_window_model():
 
 
 def test_layer_caches_release_the_model():
-    # graphs, slices and perpendicular data are cached weakly in the model, so
-    # a dropped model is freed together with the worlds built from it
+    # graphs, slices, perpendicular data with their vertex images and the
+    # End(T) memo are cached weakly in the model, so a dropped model is freed
+    # together with the worlds built from it
     model = DerivedModel(knit_module_category(preset("D4")), 1)
     g = compatibility_graph(model)
     assert enumerate_slices(model)
@@ -299,11 +302,16 @@ def test_layer_caches_release_the_model():
         norm = normalize_to_Dminus(model, o.summands)
         if not norm.identity:
             refs.append(weakref.ref(norm.world))
+        rep = verify_factor_theorem(norm.world, norm.summands, min(norm.summands, key=_vkey))
+        assert norm.world in endo._endos and rep.localised.pd.images
     for v in model.ar.vertices:
         pd = perpendicular_algebra(model, DVertex(v, 0))
         compatibility_graph(pd.prime_model)
         refs.append(weakref.ref(pd.prime_model))
     assert len(refs) > 1 + len(model.ar.vertices)  # some objects were re-sliced
-    del model, g, o, norm, pd
-    gc.collect()
+    del model, g, o, norm, pd, rep
+    # a model and its mesh category form a cycle; one held only by a weak
+    # dict's value under a dying model is garbage from the next pass on
+    while gc.collect():
+        pass
     assert all(r() is None for r in refs)

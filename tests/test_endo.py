@@ -1,12 +1,15 @@
 import pytest
 
+from mcluster import endo
+from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
     enumerate_maximal_m_rigid,
     normalize_to_Dminus,
 )
-from mcluster.derived import DVertex
+from mcluster.derived import DerivedModel, DVertex, _vkey
 from mcluster.endo import endo_dims, factor_dims, verify_factor_theorem
+from mcluster.quiver import preset
 
 
 def V(model, dim, shift=0):
@@ -128,6 +131,34 @@ def test_factor_additivity_of_quotient(world):
         mat = factor_dims(norm.world, norm.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                sb = _orbit_span(w, a, b, [M])
+                sb, _ = _orbit_span(w, a, b, [M])
                 assert sb.width == w.hom(a, b) + w.hom(a, w.g(b))
                 assert mat[i][j] + sb.rank == sb.width
+
+
+def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
+    # End(T) is built once per object, one span per ordered pair of
+    # summands; the factor algebra at a second summand, and the whole factor
+    # theorem there, build no further span over T's model
+    spans = []
+    orbit_span = endo._orbit_span
+
+    def counted(model, *args):
+        spans.append(model)
+        return orbit_span(model, *args)
+
+    monkeypatch.setattr(endo, "_orbit_span", counted)
+    mod = DerivedModel(knit_module_category(preset("A3")), 1)
+    o = enumerate_maximal_m_rigid(compatibility_graph(mod))[0]
+    norm = normalize_to_Dminus(mod, o.summands)
+    w, t = norm.world, norm.summands
+    first, second = sorted(t, key=_vkey)[:2]
+
+    def built():
+        return sum(model is w for model in spans)
+
+    verify_factor_theorem(w, t, first)
+    assert built() == len(t) ** 2
+    factor_dims(w, t, second)
+    verify_factor_theorem(w, t, second)
+    assert built() == len(t) ** 2
