@@ -12,7 +12,7 @@ distinct dimension vectors, so a vertex is named by its dimension string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalCheckError
 from .quiver import Quiver, dim_str, positive_roots
@@ -27,6 +27,8 @@ class ARVertex:
     projective_of: str | None = None
     injective_of: str | None = None
     slice_index: int = 0
+    # the interned DVertex of each shift of this module (see derived.DVertex)
+    shifts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __repr__(self):
         return f"<{self.name}>"

@@ -21,13 +21,33 @@ from .errors import InternalCheckError, WindowOverflow
 from .quiver import Quiver, make_quiver
 
 
-@dataclass(frozen=True)
 class DVertex:
-    """An indecomposable object of the derived category: module[shift]."""
+    """An indecomposable object of the derived category: module[shift].
+
+    Interned: `DVertex(module, shift)` returns the one instance for that pair,
+    kept in `module.shifts`, so equality is identity and the hash is the
+    identity hash.  Instances are immutable.
+    """
+
+    __slots__ = ("module", "shift")
 
     module: ARVertex
     shift: int
 
+    def __new__(cls, module: ARVertex, shift: int) -> "DVertex":
+        v = module.shifts.get(shift)
+        if v is None:
+            v = object.__new__(cls)
+            object.__setattr__(v, "module", module)
+            object.__setattr__(v, "shift", shift)
+            module.shifts[shift] = v
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned DVertex")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned DVertex")
     def name(self) -> str:
         return f"{self.module.name}[{self.shift}]"
 
@@ -61,6 +81,11 @@ class DObject:
         return " + ".join(parts)
 
 
+def default_window(m: int) -> tuple[int, int]:
+    """The shift window a model gets unless one is given."""
+    return (-3, m + 4)
+
+
 def _vkey(v: DVertex):
     return (v.shift, v.module.slice_index, v.module.name)
 
@@ -92,7 +117,7 @@ class DerivedModel:
         self.ar = ar
         self.quiver = ar.quiver
         self.m = m
-        self.window = window if window is not None else (-3, m + 4)
+        self.window = window if window is not None else default_window(m)
         lo, hi = self.window
         self.vertices: list[DVertex] = sorted(
             (DVertex(v, t) for t in range(lo, hi + 1) for v in ar.vertices),

@@ -20,7 +20,7 @@ from .cluster import (
     normalize_to_Dminus,
     tilting_modules,
 )
-from .derived import DerivedModel, DVertex
+from .derived import DerivedModel, DVertex, default_window
 from .endo import verify_factor_theorem
 from .errors import InternalCheckError
 from .localise import approximation_triangle
@@ -34,6 +34,7 @@ class VerificationReport:
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    stages: dict[str, float] = field(default_factory=dict)  # seconds per stage
 
     @property
     def ok(self) -> bool:
@@ -43,7 +44,7 @@ class VerificationReport:
         self.checks.append((name, passed, details))
 
     def to_dict(self, with_timing: bool = False) -> dict:
-        return {
+        data = {
             "quiver": self.quiver,
             "m": self.m,
             "pass": self.ok,
@@ -53,6 +54,24 @@ class VerificationReport:
             "counts": self.counts,
             "elapsed_seconds": round(self.elapsed, 3) if with_timing else None,
         }
+        if with_timing:
+            data["stage_seconds"] = {k: round(t, 3) for k, t in self.stages.items()}
+        return data
+
+
+@dataclass
+class _Failures:
+    """The failing cases of one kind: how many, and the first one."""
+
+    count: int = 0
+    first: str = ""
+
+    def add(self, text: str, count: int = 1):
+        self.count += count
+        self.first = self.first or text
+
+    def summary(self, total: int, what: str) -> str:
+        return f"{self.first}; {self.count} of {total} {what}"
 
 
 def _module_pairs(model):
@@ -97,41 +116,45 @@ def check_derived_invariants(model: DerivedModel, report: VerificationReport):
     report.add("mesh-additivity", bad == 0, f"{len(ar.meshes)} meshes")
 
     fd = fundamental_domain(model)
-    bad = 0
-    try:
-        for x in fd.vertices:
-            for y in fd.vertices:
-                for k in range(0, model.m + 1):
+    failed = _Failures()
+    for x in fd.vertices:
+        for y in fd.vertices:
+            for k in range(0, model.m + 1):
+                try:
                     model.hom_orbit(x, y, k)
-                    if model.m >= 2:
-                        t0 = model.hom(x, DVertex(y.module, y.shift + k))
-                        z = model.g_raw(y, 1)
-                        t1 = model.hom(x, DVertex(z.module, z.shift + k))
-                        if t0 and t1:
-                            bad += 1
-    except InternalCheckError:
-        bad += 1
-    report.add(
-        "orbit-window-vanishing",
-        bad == 0,
-        f"{len(fd.vertices) ** 2} domain pairs, k <= {model.m}",
-    )
+                except InternalCheckError as exc:
+                    failed.add(str(exc))
+                    continue
+                if model.m >= 2:
+                    t0 = model.hom(x, DVertex(y.module, y.shift + k))
+                    z = model.g_raw(y, 1)
+                    t1 = model.hom(x, DVertex(z.module, z.shift + k))
+                    if t0 and t1:
+                        failed.add(f"two orbit terms are nonzero for ({x}, {y}, k={k})")
+    details = f"{len(fd.vertices) ** 2} domain pairs, k <= {model.m}"
+    if failed.count:
+        triples = len(fd.vertices) ** 2 * (model.m + 1)
+        details += "; " + failed.summary(triples, "(x, y, k) triples failed")
+    report.add("orbit-window-vanishing", not failed.count, details)
 
     mesh = model.mesh_category()
     checked = 0
-    bad = 0
-    try:
-        for x in model.vertices:
-            for gap in (0, 1):
-                for w in model.ar.vertices:
-                    y = DVertex(w, x.shift + gap)
-                    if not model.contains(y):
-                        continue
+    failed = _Failures()
+    for x in model.vertices:
+        for gap in (0, 1):
+            for w in model.ar.vertices:
+                y = DVertex(w, x.shift + gap)
+                if not model.contains(y):
+                    continue
+                checked += 1
+                try:
                     mesh.space(x, y)  # raises on disagreement
-                    checked += 1
-    except InternalCheckError:
-        bad += 1
-    report.add("mesh-basis-agreement", bad == 0, f"{checked} window pairs")
+                except InternalCheckError as exc:
+                    failed.add(f"{exc} at ({x}, {y})")
+    details = f"{checked} window pairs"
+    if failed.count:
+        details += "; " + failed.summary(checked, "pairs failed")
+    report.add("mesh-basis-agreement", not failed.count, details)
 
 
 def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationReport):
@@ -194,36 +217,74 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
     report.add("tilting-modules-embed", ok, f"{len(tms)} tilting modules")
 
 
+def _pair(model: DerivedModel, report: VerificationReport, o, x: DVertex) -> str:
+    """The pair (o, x) in domain names, with a command line that checks it."""
+    names = ",".join(v.name() for v in o.sorted_summands())
+    line = (
+        f'mcluster endo {report.quiver} --m {report.m} --object "{names}"'
+        f' --factor-at "{x.name()}"'
+    )
+    if model.window != default_window(model.m):
+        line += f" --window={model.window[0]}:{model.window[1]}"
+    return f"{x} in {o.name()}, {report.quiver} m={report.m} (reproduce: {line})"
+
+
 def check_localisation_and_factor(model: DerivedModel, objs, report: VerificationReport):
     """Check the factor theorem for every object at every summand M, read
     the localisation at M off its report, and build the approximation
-    triangle of every other summand by the shifts of M.  A disagreement is
-    reported at the first pair, with the count of all disagreeing pairs."""
+    triangle of every other summand by the shifts of M.
+
+    Every (object, summand) pair is checked.  A pair whose check raises
+    fails both sweeps, a localised object of the wrong size fails the
+    localisation sweep and a disagreement fails the factor sweep.  Each
+    kind is reported with its count and its first pair."""
     n = model.quiver.n
-    runs = disagreements = 0
-    loc_ok = factor_ok = True
-    loc_detail = factor_detail = first = ""
-    try:
-        for o in objs:
+    pairs = sum(len(o.summands) for o in objs)
+    raised, short, disagree = _Failures(), _Failures(), _Failures()
+    for o in objs:
+        try:
             norm = normalize_to_Dminus(model, o.summands)
-            for msum in sorted(norm.summands, key=lambda u: u.name()):
+        except (InternalCheckError, ValueError) as exc:
+            first = min(o.summands, key=lambda u: u.name())
+            raised.add(f"{exc} at {_pair(model, report, o, first)}", len(o.summands))
+            continue
+        domain = {v: x for x, v in norm.mapping.items()}
+        for msum in sorted(norm.summands, key=lambda u: u.name()):
+            try:
                 rep = verify_factor_theorem(norm.world, norm.summands, msum)
-                runs += 1
-                if len(rep.localised.prime_summands) != n - 1:
-                    loc_ok = False
                 for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
                     approximation_triangle(norm.world, x, rep.localised.pd)
-                if not rep.ok:
-                    disagreements += 1
-                    first = first or f"disagreement at {msum} in {o.name()}"
-        if disagreements:
-            factor_ok = False
-            factor_detail = f"{first}; {disagreements} of {runs} pairs disagree"
-    except (InternalCheckError, ValueError) as exc:
-        loc_ok = factor_ok = False
-        loc_detail = factor_detail = str(exc)
-    report.add("localisation-sweep", loc_ok, loc_detail or f"{runs} localisations")
-    report.add("factor-theorem-sweep", factor_ok, factor_detail or f"{runs} pairs checked")
+            except (InternalCheckError, ValueError) as exc:
+                raised.add(f"{exc} at {_pair(model, report, o, domain[msum])}")
+                continue
+            size = len(rep.localised.prime_summands)
+            if size != n - 1:
+                short.add(
+                    f"{size} localised summands, expected {n - 1}, "
+                    f"at {_pair(model, report, o, domain[msum])}"
+                )
+            if not rep.ok:
+                disagree.add(f"disagreement at {_pair(model, report, o, domain[msum])}")
+
+    def details(kinds, passed):
+        return "; ".join(f.summary(pairs, what) for f, what in kinds if f.count) or passed
+
+    report.add(
+        "localisation-sweep",
+        not (raised.count or short.count),
+        details(
+            [(raised, "pairs failed"), (short, "localisations have the wrong size")],
+            f"{pairs} localisations",
+        ),
+    )
+    report.add(
+        "factor-theorem-sweep",
+        not (raised.count or disagree.count),
+        details(
+            [(raised, "pairs failed"), (disagree, "pairs disagree")],
+            f"{pairs} pairs checked",
+        ),
+    )
 
 
 def run_verify(
@@ -236,14 +297,24 @@ def run_verify(
 ) -> VerificationReport:
     from .arquiver import knit_module_category
 
-    start = time.monotonic()
+    start = stage_start = time.monotonic()
     report = VerificationReport(quiver=quiver_name, m=m)
+
+    def stage_done(name):
+        nonlocal stage_start
+        now = time.monotonic()
+        report.stages[name] = now - stage_start
+        stage_start = now
+
     model = DerivedModel(knit_module_category(quiver), m, window)
     check_derived_invariants(model, report)
+    stage_done("invariants")
     g = compatibility_graph(model)
     objs = enumerate_maximal_m_rigid(g, max_cliques=max_cliques)
     check_cluster_theorems(model, g, objs, report)
+    stage_done("cluster")
     if target == "all":
         check_localisation_and_factor(model, objs, report)
+        stage_done("localisation-and-factor")
     report.elapsed = time.monotonic() - start
     return report

@@ -3,8 +3,11 @@ scale, with one printed pass/fail line per criterion (run with -s to see
 them).  All tolerances are exact.
 """
 
+import shlex
+
 import pytest
 
+from mcluster import cli, verify
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
@@ -18,9 +21,11 @@ from mcluster.cluster import (
 from mcluster.derived import DerivedModel, DVertex
 from mcluster import endo
 from mcluster.endo import verify_factor_theorem
+from mcluster.errors import InternalCheckError
 from mcluster.localise import localise_object
+from mcluster.meshcat import MeshCategory
 from mcluster.quiver import euler_form, make_quiver, preset
-from mcluster.verify import run_verify
+from mcluster.verify import VerificationReport, check_derived_invariants, run_verify
 
 from oracles import (
     compatible,
@@ -322,7 +327,101 @@ def test_a_value_error_in_the_factor_step_fails_both_sweeps(monkeypatch):
     monkeypatch.setattr(endo, "endo_dims", broken)
     rep = run_verify(preset("A3"), "A3", 1, "all")
     assert not rep.ok
+    # every pair is tried and counted; the first is named with its command
+    first = (
+        "broken factor step at 001[0] in 001[0] + 011[0] + 111[0], A3 m=1 "
+        '(reproduce: mcluster endo A3 --m 1 --object "001[0],011[0],111[0]" '
+        '--factor-at "001[0]"); 42 of 42 pairs failed'
+    )
     assert _sweeps(rep) == {
-        "localisation-sweep": (False, "broken factor step"),
-        "factor-theorem-sweep": (False, "broken factor step"),
+        "localisation-sweep": (False, first),
+        "factor-theorem-sweep": (False, first),
     }
+
+
+def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch):
+    failed = []
+
+    def flaky(model, t, M):
+        # a broken factor step at every projective summand in degree 0
+        if M.shift == 0 and M.module.projective_of is not None:
+            failed.append(M)
+            raise InternalCheckError(f"broken at {M}")
+        return verify_factor_theorem(model, t, M)
+
+    monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
+    monkeypatch.setattr(cli, "verify_factor_theorem", flaky)
+    sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all", window=(-4, 6)))
+    ok, details = sweeps["factor-theorem-sweep"]
+    assert not ok and sweeps["localisation-sweep"] == (False, details)
+    assert 1 < len(failed) < 42
+    assert details.startswith(f"broken at {failed[0]} at ")
+    assert details.endswith(f"; {len(failed)} of 42 pairs failed")
+    line = details.split("(reproduce: ")[1].split(")")[0]
+    assert line.startswith("mcluster endo A3 --m 1 --object ")
+    assert line.endswith(" --window=-4:6")
+    argv = shlex.split(line)[1:]
+    assert cli.main(argv) == 1
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+
+
+def test_a_failed_normalisation_fails_every_pair_of_its_object(monkeypatch):
+    def flaky(model, t):
+        # objects already in degrees 0..m-1 need no new slice
+        if any(v.shift == model.m for v in t):
+            raise InternalCheckError("broken slice")
+        return normalize_to_Dminus(model, t)
+
+    monkeypatch.setattr(verify, "normalize_to_Dminus", flaky)
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    objs = enumerate_maximal_m_rigid(compatibility_graph(model))
+    resliced = [o for o in objs if any(v.shift == 2 for v in o.summands)]
+    assert 0 < len(resliced) < len(objs)
+    report = VerificationReport("A3", 2)
+    verify.check_localisation_and_factor(model, objs, report)
+    ok, details = _sweeps(report)["localisation-sweep"]
+    assert not ok and details.startswith("broken slice at ")
+    assert f" in {resliced[0].name()}, A3 m=2 (reproduce: " in details
+    assert details.endswith(f"; {3 * len(resliced)} of {3 * len(objs)} pairs failed")
+
+
+def test_the_invariant_loops_count_every_failure(monkeypatch):
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    clean = VerificationReport("A3", 2)
+    check_derived_invariants(model, clean)  # also fills the mesh cache
+    assert clean.ok
+    fd = fundamental_domain(model).vertices
+    bad_orbit = [(fd[0], fd[1], 0), (fd[2], fd[0], 1), (fd[3], fd[3], 2)]
+    bad_space = [(x, x) for x in model.vertices[:4]]
+    hom_orbit, space = DerivedModel.hom_orbit, MeshCategory.space
+
+    def flaky_orbit(self, x, y, k):
+        if (x, y, k) in bad_orbit:
+            raise InternalCheckError("broken orbit sum")
+        return hom_orbit(self, x, y, k)
+
+    def flaky_space(self, x, y):
+        # every space is cached, so a failure cannot spread to another pair
+        if (x, y) in bad_space:
+            raise InternalCheckError("broken basis")
+        return space(self, x, y)
+
+    monkeypatch.setattr(DerivedModel, "hom_orbit", flaky_orbit)
+    monkeypatch.setattr(MeshCategory, "space", flaky_space)
+    report = VerificationReport("A3", 2)
+    check_derived_invariants(model, report)
+    checks = {name: (ok, details) for name, ok, details in report.checks}
+    before = {name: details for name, _, details in clean.checks}
+    n = len(fd)
+    assert checks["orbit-window-vanishing"] == (
+        False,
+        f"{before['orbit-window-vanishing']}; broken orbit sum; "
+        f"3 of {3 * n * n} (x, y, k) triples failed",
+    )
+    pairs = int(before["mesh-basis-agreement"].split()[0])
+    x = model.vertices[0]
+    assert checks["mesh-basis-agreement"] == (
+        False,
+        f"{pairs} window pairs; broken basis at ({x}, {x}); 4 of {pairs} pairs failed",
+    )

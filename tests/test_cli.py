@@ -118,6 +118,28 @@ def test_verify_all_a2():
     assert names.index("localisation-sweep") < names.index("factor-theorem-sweep")
 
 
+@pytest.mark.parametrize(
+    "target,stages",
+    [
+        ("all", ["cluster", "invariants", "localisation-and-factor"]),
+        ("cluster", ["cluster", "invariants"]),
+    ],
+)
+def test_verify_timing_reports_each_stage(target, stages):
+    plain = json.loads(run_cli("verify", target, "A2", "--m", "1", "--json").stdout)
+    assert "stage_seconds" not in plain
+    out = run_cli("verify", target, "A2", "--m", "1", "--json", "--timing")
+    assert out.returncode == 0
+    data = json.loads(out.stdout)
+    assert sorted(data["stage_seconds"]) == stages
+    assert all(t >= 0 for t in data["stage_seconds"].values())
+    assert sum(data["stage_seconds"].values()) <= data["elapsed_seconds"] + 0.01
+    text = run_cli("verify", target, "A2", "--m", "1", "--timing").stdout
+    lines = [ln.split(":")[0].strip() for ln in text.splitlines() if "stage " in ln]
+    assert sorted(lines) == [f"stage {s}" for s in stages]
+    assert "stage " not in run_cli("verify", target, "A2", "--m", "1").stdout
+
+
 def test_verify_usage_error_m0():
     out = run_cli("verify", "all", "A2", "--m", "0")
     assert out.returncode == 2

@@ -1,15 +1,43 @@
 import pytest
 
+from mcluster.arquiver import knit_module_category
 from mcluster.cluster import enumerate_slices
-from mcluster.derived import DVertex
+from mcluster.derived import DerivedModel, DVertex
 from mcluster.errors import WindowOverflow
 from mcluster.localise import perpendicular_algebra
+from mcluster.quiver import preset
 
 PRESETS_M = [("A1", 1), ("A2", 1), ("A2", 2), ("A3", 1), ("A3", 2), ("D4", 1)]
 
 
 def V(model, dim, shift=0):
     return DVertex(model.ar.by_dim[dim], shift)
+
+
+def test_window_vertices_are_interned(world):
+    mod = world("A3", 2)
+    v = mod.ar.vertices[0]
+    assert DVertex(v, 7) is DVertex(v, 7)
+    assert all(DVertex(x.module, x.shift) is x for x in mod.vertices)
+    assert all(DVertex(w.module, w.shift) is w for ws in mod.out.values() for w in ws)
+    assert len(set(mod.vertices)) == len(mod.vertices)
+
+
+def test_window_vertices_are_immutable(world):
+    x = world("A2", 1).vertices[0]
+    shift = x.shift
+    with pytest.raises(AttributeError):
+        x.shift = shift + 1
+    with pytest.raises(AttributeError):
+        x.label = "new"
+    assert x.shift == shift and DVertex(x.module, shift) is x
+
+
+def test_two_knittings_of_one_preset_share_no_vertex():
+    a, b = (DerivedModel(knit_module_category(preset("A3")), 1) for _ in range(2))
+    assert [x.name() for x in a.vertices] == [y.name() for y in b.vertices]
+    assert all(x != y for x, y in zip(a.vertices, b.vertices))
+    assert not set(a.vertices) & set(b.vertices)
 
 
 def test_tau_derived_a2(world):
