@@ -9,7 +9,6 @@ summands, and verifies the structural theorems exhaustively at small rank.
 from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .cluster import (
     CompatibilityGraph,
-    FundamentalDomain,
     MRigidObject,
     NormalizedObject,
     compatibility_graph,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 3 resource limit hit (the clique cap, or an object outside the shift
-window).  Machine output sits behind --json; the default output is a short
-human-readable rendering of the same data.
+window that m fixes).  Machine output sits behind --json; the default
+output is a short human-readable rendering of the same data.
 """
 
 from __future__ import annotations
@@ -56,19 +56,6 @@ def load_quiver(spec: str):
     return parse_quiver(path.read_text()), path.name
 
 
-def parse_window(text):
-    if text is None:
-        return None
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"--window expects LO:HI, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"--window {text}: LO must not exceed HI")
-    return (lo, hi)
-
-
 def parse_object_name(model: DerivedModel, name: str) -> DVertex:
     name = name.strip()
     shift = 0
@@ -116,7 +103,7 @@ def build_model(args) -> tuple[DerivedModel, str]:
         m = 1
     if m < 1:
         raise UsageError("--m must be at least 1")
-    return DerivedModel(knit_module_category(q), m, parse_window(args.window)), name
+    return DerivedModel(knit_module_category(q), m), name
 
 
 def emit(args, data, text_lines):
@@ -176,8 +163,7 @@ def cmd_ar_quiver(args):
 
 def cmd_fd(args):
     model, name = build_model(args)
-    fd = fundamental_domain(model)
-    names = [v.name() for v in fd.vertices]
+    names = [v.name() for v in fundamental_domain(model)]
     emit(
         args,
         {"quiver": name, "m": model.m, "count": len(names), "vertices": names},
@@ -190,8 +176,6 @@ def cmd_hom(args):
     model, name = build_model(args)
     x = parse_object_name(model, args.src)
     y = parse_object_name(model, args.dst)
-    if args.shift:
-        y = DVertex(y.module, y.shift + args.shift)
     d = model.hom(x, y)
     emit(
         args,
@@ -355,13 +339,13 @@ def cmd_verify(args):
     q, name = load_quiver(args.quiver)
     if args.m is None or args.m < 1:
         raise UsageError("--m must be at least 1")
+    source = name
+    if args.quiver.upper() not in PRESET_NAMES:
+        # an absolute path, so that the reproducer lines of a failing sweep
+        # run from any directory
+        source = str(Path(args.quiver).resolve())
     report = run_verify(
-        q,
-        name,
-        args.m,
-        target=args.target,
-        window=parse_window(args.window),
-        max_cliques=args.max_cliques,
+        q, name, args.m, target=args.target, max_cliques=args.max_cliques, source=source
     )
     if args.json:
         print(json.dumps(report.to_dict(with_timing=args.timing), indent=2, sort_keys=True))
@@ -402,7 +386,6 @@ def make_parser():
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if with_model:
             sp.add_argument("--m", type=int, default=1, help="number of shifts (default 1)")
-            sp.add_argument("--window", default=None, help="shift window, as --window=LO:HI")
         if with_cap:
             sp.add_argument(
                 "--max-cliques", type=clique_cap, default=None,
@@ -425,7 +408,6 @@ def make_parser():
     common(sp)
     sp.add_argument("--from", dest="src", required=True, metavar="NAME")
     sp.add_argument("--to", dest="dst", required=True, metavar="NAME")
-    sp.add_argument("--shift", type=int, default=0)
     sp.set_defaults(func=cmd_hom)
 
     sp = sub.add_parser("factor-dim", help="dimension of maps factoring through a class")
@@ -486,7 +468,7 @@ def main(argv=None) -> int:
         print(f"capped: {exc}", file=sys.stderr)
         return RESOURCE_CAP
     except WindowOverflow as exc:
-        print(f"window too small: {exc}; widen it with --window=LO:HI", file=sys.stderr)
+        print(f"out of range: {exc}", file=sys.stderr)
         return RESOURCE_CAP
     except MClusterError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -17,24 +17,18 @@ from .derived import DerivedModel, DVertex, _vkey
 from .errors import CliqueCapExceeded, InternalCheckError, WindowOverflow
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
-    m: int
-    vertices: tuple[DVertex, ...]
-
-
 # per-model caches of this layer; a model's entries die with the model
 _graphs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _slices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def fundamental_domain(model: DerivedModel) -> FundamentalDomain:
+def fundamental_domain(model: DerivedModel) -> tuple[DVertex, ...]:
     vs = [DVertex(v, t) for v in model.ar.vertices for t in range(model.m)]
     vs += [
         DVertex(v, model.m) for v in model.ar.vertices if v.projective_of is not None
     ]
     vs.sort(key=lambda v: (v.module.slice_index, v.module.name, v.shift))
-    return FundamentalDomain(model.m, tuple(vs))
+    return tuple(vs)
 
 
 class CompatibilityGraph:
@@ -49,7 +43,7 @@ class CompatibilityGraph:
     def __init__(self, model: DerivedModel):
         self.m = model.m
         self.n = model.quiver.n
-        self.nodes = fundamental_domain(model).vertices
+        self.nodes = fundamental_domain(model)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         ks = range(1, self.m + 1)
         ext = model.hom_orbit
@@ -378,6 +372,4 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
             mapping=sw_map,
             identity=False,
         )
-    raise WindowOverflow(
-        "no normalizing slice found in the window; enlarge it with a wider window"
-    )
+    raise WindowOverflow("no normalizing slice found in the window")

@@ -82,8 +82,15 @@ class DObject:
 
 
 def default_window(m: int) -> tuple[int, int]:
-    """The shift window a model gets unless one is given."""
-    return (-3, m + 4)
+    """The shift window of every model over m: degrees -3 to 2m + 2.
+
+    Normalised summands sit in degrees <= m - 1 and their G-images in
+    degrees <= 2m; localised images sit in degrees <= m and their G-images
+    in degrees <= 2m + 1; project_to_D0 needs one degree above its input.
+    The search for a normalising slice starts at the lower end, so -3 fixes
+    which normalised world is chosen.
+    """
+    return (-3, 2 * m + 2)
 
 
 def _vkey(v: DVertex):
@@ -109,15 +116,16 @@ class ProjectiveAlgebra:
 
 
 class DerivedModel:
-    """The window model: AR-quiver of mod H, a value of m, and a shift window."""
+    """The window model: AR-quiver of mod H, a value of m, and the shift
+    window that m fixes."""
 
-    def __init__(self, ar: ARQuiver, m: int, window: tuple[int, int] | None = None):
+    def __init__(self, ar: ARQuiver, m: int):
         if m < 1:
             raise ValueError("m must be at least 1")
         self.ar = ar
         self.quiver = ar.quiver
         self.m = m
-        self.window = window if window is not None else default_window(m)
+        self.window = default_window(m)
         lo, hi = self.window
         self.vertices: list[DVertex] = sorted(
             (DVertex(v, t) for t in range(lo, hi + 1) for v in ar.vertices),
@@ -188,7 +196,7 @@ class DerivedModel:
         q = make_quiver(labels, arrows, connected=False) if k else Quiver((), ())
         model = self._family.get(q)
         if model is None:
-            model = DerivedModel(knit_module_category(q), self.m, self.window)
+            model = DerivedModel(knit_module_category(q), self.m)
             model._family = self._family
             self._family[q] = model
         alg = ProjectiveAlgebra(q, model, reps, self)

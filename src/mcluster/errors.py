@@ -30,7 +30,9 @@ class DimensionMismatch(QuiverError):
 
 
 class WindowOverflow(MClusterError):
-    """An operation left the configured shift window; widen it with a larger window."""
+    """An operation left the shift window, which m fixes (see
+    `derived.default_window`).  On objects of the fundamental domain this
+    signals a bug."""
 
 
 class InternalCheckError(MClusterError):

@@ -117,9 +117,7 @@ def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularDa
             b = sum(mult * model.hom(v, u) for v, mult in w.summands)
             c_u = b - sum(c * model.hom(v, u) for v, c in coeffs.items())
             if c_u < 0:
-                raise WindowOverflow(
-                    f"fingerprint solve went negative at {u}; enlarge the window"
-                )
+                raise WindowOverflow(f"fingerprint solve went negative at {u}")
             if c_u:
                 coeffs[u] = c_u
     return DObject(tuple(sorted(coeffs.items(), key=lambda it: _vkey(it[0]))))

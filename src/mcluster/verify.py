@@ -8,6 +8,7 @@ from machine output unless requested).
 
 from __future__ import annotations
 
+import shlex
 import time
 from dataclasses import dataclass, field
 
@@ -20,9 +21,9 @@ from .cluster import (
     normalize_to_Dminus,
     tilting_modules,
 )
-from .derived import DerivedModel, DVertex, default_window
+from .derived import DerivedModel, DVertex
 from .endo import verify_factor_theorem
-from .errors import InternalCheckError
+from .errors import InternalCheckError, WindowOverflow
 from .localise import approximation_triangle
 from .quiver import Quiver, euler_form
 
@@ -35,6 +36,7 @@ class VerificationReport:
     counts: dict = field(default_factory=dict)
     elapsed: float = 0.0
     stages: dict[str, float] = field(default_factory=dict)  # seconds per stage
+    source: str = ""  # the quiver argument of reproducer lines, if not `quiver`
 
     @property
     def ok(self) -> bool:
@@ -117,8 +119,8 @@ def check_derived_invariants(model: DerivedModel, report: VerificationReport):
 
     fd = fundamental_domain(model)
     failed = _Failures()
-    for x in fd.vertices:
-        for y in fd.vertices:
+    for x in fd:
+        for y in fd:
             for k in range(0, model.m + 1):
                 try:
                     model.hom_orbit(x, y, k)
@@ -131,9 +133,9 @@ def check_derived_invariants(model: DerivedModel, report: VerificationReport):
                     t1 = model.hom(x, DVertex(z.module, z.shift + k))
                     if t0 and t1:
                         failed.add(f"two orbit terms are nonzero for ({x}, {y}, k={k})")
-    details = f"{len(fd.vertices) ** 2} domain pairs, k <= {model.m}"
+    details = f"{len(fd) ** 2} domain pairs, k <= {model.m}"
     if failed.count:
-        triples = len(fd.vertices) ** 2 * (model.m + 1)
+        triples = len(fd) ** 2 * (model.m + 1)
         details += "; " + failed.summary(triples, "(x, y, k) triples failed")
     report.add("orbit-window-vanishing", not failed.count, details)
 
@@ -217,15 +219,13 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
     report.add("tilting-modules-embed", ok, f"{len(tms)} tilting modules")
 
 
-def _pair(model: DerivedModel, report: VerificationReport, o, x: DVertex) -> str:
+def _pair(report: VerificationReport, o, x: DVertex) -> str:
     """The pair (o, x) in domain names, with a command line that checks it."""
     names = ",".join(v.name() for v in o.sorted_summands())
     line = (
-        f'mcluster endo {report.quiver} --m {report.m} --object "{names}"'
-        f' --factor-at "{x.name()}"'
+        f"mcluster endo {shlex.quote(report.source or report.quiver)} --m {report.m}"
+        f' --object "{names}" --factor-at "{x.name()}"'
     )
-    if model.window != default_window(model.m):
-        line += f" --window={model.window[0]}:{model.window[1]}"
     return f"{x} in {o.name()}, {report.quiver} m={report.m} (reproduce: {line})"
 
 
@@ -235,7 +235,8 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
     triangle of every other summand by the shifts of M.
 
     Every (object, summand) pair is checked.  A pair whose check raises
-    fails both sweeps, a localised object of the wrong size fails the
+    (an internal check, or a step out of the window that m fixes) fails
+    both sweeps, a localised object of the wrong size fails the
     localisation sweep and a disagreement fails the factor sweep.  Each
     kind is reported with its count and its first pair."""
     n = model.quiver.n
@@ -244,9 +245,9 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
     for o in objs:
         try:
             norm = normalize_to_Dminus(model, o.summands)
-        except (InternalCheckError, ValueError) as exc:
+        except (InternalCheckError, WindowOverflow, ValueError) as exc:
             first = min(o.summands, key=lambda u: u.name())
-            raised.add(f"{exc} at {_pair(model, report, o, first)}", len(o.summands))
+            raised.add(f"{exc} at {_pair(report, o, first)}", len(o.summands))
             continue
         domain = {v: x for x, v in norm.mapping.items()}
         for msum in sorted(norm.summands, key=lambda u: u.name()):
@@ -254,17 +255,17 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
                 rep = verify_factor_theorem(norm.world, norm.summands, msum)
                 for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
                     approximation_triangle(norm.world, x, rep.localised.pd)
-            except (InternalCheckError, ValueError) as exc:
-                raised.add(f"{exc} at {_pair(model, report, o, domain[msum])}")
+            except (InternalCheckError, WindowOverflow, ValueError) as exc:
+                raised.add(f"{exc} at {_pair(report, o, domain[msum])}")
                 continue
             size = len(rep.localised.prime_summands)
             if size != n - 1:
                 short.add(
                     f"{size} localised summands, expected {n - 1}, "
-                    f"at {_pair(model, report, o, domain[msum])}"
+                    f"at {_pair(report, o, domain[msum])}"
                 )
             if not rep.ok:
-                disagree.add(f"disagreement at {_pair(model, report, o, domain[msum])}")
+                disagree.add(f"disagreement at {_pair(report, o, domain[msum])}")
 
     def details(kinds, passed):
         return "; ".join(f.summary(pairs, what) for f, what in kinds if f.count) or passed
@@ -292,13 +293,13 @@ def run_verify(
     quiver_name: str,
     m: int,
     target: str = "all",
-    window=None,
     max_cliques=None,
+    source: str = "",
 ) -> VerificationReport:
     from .arquiver import knit_module_category
 
     start = stage_start = time.monotonic()
-    report = VerificationReport(quiver=quiver_name, m=m)
+    report = VerificationReport(quiver=quiver_name, m=m, source=source)
 
     def stage_done(name):
         nonlocal stage_start
@@ -306,7 +307,7 @@ def run_verify(
         report.stages[name] = now - stage_start
         stage_start = now
 
-    model = DerivedModel(knit_module_category(quiver), m, window)
+    model = DerivedModel(knit_module_category(quiver), m)
     check_derived_invariants(model, report)
     stage_done("invariants")
     g = compatibility_graph(model)

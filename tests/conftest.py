@@ -11,12 +11,10 @@ _worlds = {}
 def world():
     """Factory for cached (preset, m) derived models."""
 
-    def get(name: str, m: int = 1, window=None) -> DerivedModel:
-        key = (name, m, window)
+    def get(name: str, m: int = 1) -> DerivedModel:
+        key = (name, m)
         if key not in _worlds:
-            _worlds[key] = DerivedModel(
-                knit_module_category(preset(name)), m, window
-            )
+            _worlds[key] = DerivedModel(knit_module_category(preset(name)), m)
         return _worlds[key]
 
     return get

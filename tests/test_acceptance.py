@@ -3,6 +3,7 @@ scale, with one printed pass/fail line per criterion (run with -s to see
 them).  All tolerances are exact.
 """
 
+import json
 import shlex
 
 import pytest
@@ -21,7 +22,7 @@ from mcluster.cluster import (
 from mcluster.derived import DerivedModel, DVertex
 from mcluster import endo
 from mcluster.endo import verify_factor_theorem
-from mcluster.errors import InternalCheckError
+from mcluster.errors import InternalCheckError, WindowOverflow
 from mcluster.localise import localise_object
 from mcluster.meshcat import MeshCategory
 from mcluster.quiver import euler_form, make_quiver, preset
@@ -256,8 +257,8 @@ def test_criterion_8_invariant_suites(world):
                         mesh.space(x, y)
                         pairs += 1
         fd = fundamental_domain(mod)
-        for x in fd.vertices:
-            for y in fd.vertices:
+        for x in fd:
+            for y in fd:
                 for k in range(0, m + 1):
                     mod.hom_orbit(x, y, k)  # asserts far-orbit vanishing
                     if m >= 2:
@@ -301,6 +302,13 @@ def test_verify_passes_on_the_largest_presets(name, target):
         f"verify {target} {name} m=1", rep.ok,
         "failed: " + ", ".join(failed) if failed else f"{len(rep.checks)} checks",
     )
+
+
+@pytest.mark.parametrize("name,m", [("A2", 4), ("A2", 5)])
+def test_verify_all_passes_past_m_3(name, m):
+    # the window grows with m; the old fixed margin ran out at m = 4
+    rep = run_verify(preset(name), name, m, "all")
+    _report(f"verify all {name} m={m}", rep.ok, f"{len(rep.checks)} checks")
 
 
 def _sweeps(rep):
@@ -351,7 +359,7 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
 
     monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
     monkeypatch.setattr(cli, "verify_factor_theorem", flaky)
-    sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all", window=(-4, 6)))
+    sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     ok, details = sweeps["factor-theorem-sweep"]
     assert not ok and sweeps["localisation-sweep"] == (False, details)
     assert 1 < len(failed) < 42
@@ -359,11 +367,64 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
     assert details.endswith(f"; {len(failed)} of 42 pairs failed")
     line = details.split("(reproduce: ")[1].split(")")[0]
     assert line.startswith("mcluster endo A3 --m 1 --object ")
-    assert line.endswith(" --window=-4:6")
+    assert line.endswith(f' --factor-at "{failed[0]}"')
     argv = shlex.split(line)[1:]
     assert cli.main(argv) == 1
     monkeypatch.undo()
     assert cli.main(argv) == 0
+
+
+def _fail_once(monkeypatch, exc):
+    """Make the factor step raise exc at the first pair it is called on."""
+    calls = []
+
+    def flaky(model, t, M):
+        calls.append(M)
+        if len(calls) == 1:
+            raise exc
+        return verify_factor_theorem(model, t, M)
+
+    monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
+    monkeypatch.setattr(cli, "verify_factor_theorem", flaky)
+
+
+def test_a_window_overflow_fails_one_pair(monkeypatch, capsys):
+    # a step out of the window is a bug, counted like any other failed pair
+    _fail_once(monkeypatch, WindowOverflow("G-image outside the window"))
+    assert cli.main(["verify", "all", "A3", "--m", "1"]) == 1
+    out = capsys.readouterr()
+    sweeps = [ln for ln in out.out.splitlines() if "-sweep:" in ln]
+    assert len(sweeps) == 2
+    for line in sweeps:
+        assert line.lstrip().startswith("[FAIL] ")
+        assert ": G-image outside the window at " in line
+        assert line.endswith("; 1 of 42 pairs failed")
+    assert out.err == ""
+
+
+def test_the_reproducer_names_a_quiver_file_by_its_absolute_path(
+    monkeypatch, capsys, tmp_path
+):
+    folder = tmp_path / "my quivers"
+    folder.mkdir()
+    (folder / "a3.json").write_text(
+        '{"vertices": ["1", "2", "3"], "arrows": [["1", "2"], ["2", "3"]]}'
+    )
+    monkeypatch.chdir(folder)
+    _fail_once(monkeypatch, InternalCheckError("broken factor step"))
+    assert cli.main(["verify", "all", "a3.json", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["quiver"] == "a3.json"
+    details = next(c["details"] for c in data["checks"] if c["name"] == "localisation-sweep")
+    assert ", a3.json m=1 (reproduce: " in details
+    line = details.split("(reproduce: ")[1].split(")")[0]
+    assert line.startswith(f"mcluster endo {shlex.quote(str(folder / 'a3.json'))} --m 1 ")
+    # the line reproduces the failure from another directory
+    monkeypatch.chdir(tmp_path)
+    _fail_once(monkeypatch, InternalCheckError("broken factor step"))
+    assert cli.main(shlex.split(line)[1:]) == 1
+    monkeypatch.undo()
+    assert cli.main(shlex.split(line)[1:]) == 0
 
 
 def test_a_failed_normalisation_fails_every_pair_of_its_object(monkeypatch):
@@ -391,7 +452,7 @@ def test_the_invariant_loops_count_every_failure(monkeypatch):
     clean = VerificationReport("A3", 2)
     check_derived_invariants(model, clean)  # also fills the mesh cache
     assert clean.ok
-    fd = fundamental_domain(model).vertices
+    fd = fundamental_domain(model)
     bad_orbit = [(fd[0], fd[1], 0), (fd[2], fd[0], 1), (fd[3], fd[3], 2)]
     bad_space = [(x, x) for x in model.vertices[:4]]
     hom_orbit, space = DerivedModel.hom_orbit, MeshCategory.space

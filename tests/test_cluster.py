@@ -29,12 +29,12 @@ def V(model, dim, shift=0):
 
 
 def test_fd_sizes(world):
-    assert len(fundamental_domain(world("A1", 2)).vertices) == 3
-    assert len(fundamental_domain(world("A2", 1)).vertices) == 5
-    assert len(fundamental_domain(world("A3", 2)).vertices) == 15
+    assert len(fundamental_domain(world("A1", 2))) == 3
+    assert len(fundamental_domain(world("A2", 1))) == 5
+    assert len(fundamental_domain(world("A3", 2))) == 15
     mod = world("D4", 2)
-    assert len(fundamental_domain(mod).vertices) == 2 * 12 + 4
-    for v in fundamental_domain(mod).vertices:
+    assert len(fundamental_domain(mod)) == 2 * 12 + 4
+    for v in fundamental_domain(mod):
         assert 0 <= v.shift <= 2
         if v.shift == 2:
             assert v.module.projective_of is not None
@@ -48,7 +48,7 @@ def test_everything_self_rigid(world, name, m):
 
 def test_self_ext_vanishes_on_indecomposables(world):
     mod = world("A3", 2)
-    for v in fundamental_domain(mod).vertices:
+    for v in fundamental_domain(mod):
         for k in range(1, 3):
             assert mod.hom_orbit(v, v, k) == 0
 
@@ -168,8 +168,8 @@ def test_tilting_modules_embed_as_maximal(world, m):
 def test_calabi_yau_symmetry(world, name, m):
     mod = world(name, m)
     fd = fundamental_domain(mod)
-    for x in fd.vertices:
-        for y in fd.vertices:
+    for x in fd:
+        for y in fd:
             for k in range(1, m + 1):
                 assert mod.hom_orbit(x, y, k) == mod.hom_orbit(y, x, m + 1 - k)
 

@@ -137,8 +137,8 @@ def test_orbit_single_term_for_m_at_least_2(world, name, m):
 
     mod = world(name, m)
     fd = fundamental_domain(mod)
-    for x in fd.vertices:
-        for y in fd.vertices:
+    for x in fd:
+        for y in fd:
             for k in range(0, m + 1):
                 terms = {}
                 for t in (-1, 0, 1):

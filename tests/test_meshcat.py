@@ -163,7 +163,7 @@ def test_g_carries_a_basis_onto_a_basis(world, name, m):
 
     mod = world(name, m)
     mesh, paths = mod.mesh_category(), PathMeshCategory(mod)
-    dom = fundamental_domain(mod).vertices
+    dom = fundamental_domain(mod)
     checked = 0
     for c in dom:
         for b in dom:
