@@ -124,9 +124,6 @@ def _path_counts(q: Quiver) -> dict[str, dict[str, int]]:
 
 def knit_module_category(q: Quiver) -> ARQuiver:
     ar = ARQuiver(q)
-    if q.n == 0:
-        return ar
-
     paths = _path_counts(q)
     proj_dim = {
         i: tuple(paths[i][l] for l in q.labels) for i in q.vertices

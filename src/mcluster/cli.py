@@ -22,9 +22,9 @@ from .cluster import (
     normalize_to_Dminus,
 )
 from .derived import DerivedModel, DVertex
-from .endo import endo_dims, verify_factor_theorem
+from .endo import endo_dims
 from .errors import CliqueCapExceeded, MClusterError, QuiverError, WindowOverflow
-from .localise import approximation_triangle, localise_object
+from .localise import localise_object
 from .quiver import (
     PRESET_NAMES,
     dim_str,
@@ -33,7 +33,7 @@ from .quiver import (
     positive_roots,
     preset,
 )
-from .verify import run_verify
+from .verify import check_pair, run_verify
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -98,12 +98,9 @@ def clique_cap(text: str) -> int:
 
 def build_model(args) -> tuple[DerivedModel, str]:
     q, name = load_quiver(args.quiver)
-    m = getattr(args, "m", 1)
-    if m is None:
-        m = 1
-    if m < 1:
+    if args.m < 1:
         raise UsageError("--m must be at least 1")
-    return DerivedModel(knit_module_category(q), m), name
+    return DerivedModel(knit_module_category(q), args.m), name
 
 
 def emit(args, data, text_lines):
@@ -261,12 +258,11 @@ def cmd_localise(args):
     loc = localise_object(norm.world, norm.summands, at_n)
     pd = loc.pd
     # localise_object has checked that the image is maximal m-rigid over H'
-    prime_g = compatibility_graph(pd.prime_model) if pd.H_prime.n else None
-    comp_counts = {}
-    if prime_g is not None and loc.prime_summands:
-        for v in sorted(loc.prime_summands, key=lambda u: u.name()):
-            cs = complements(prime_g, loc.prime_summands - {v})
-            comp_counts[v.name()] = len(cs)
+    prime_g = compatibility_graph(pd.prime_model)
+    comp_counts = {
+        v.name(): len(complements(prime_g, loc.prime_summands - {v}))
+        for v in sorted(loc.prime_summands, key=lambda u: u.name())
+    }
     data = {
         "quiver": name,
         "m": model.m,
@@ -316,11 +312,7 @@ def cmd_endo(args):
         at = parse_object_name(model, args.factor_at)
         if at not in obj:
             raise UsageError(f"--factor-at {args.factor_at} is not a summand")
-        at_n = norm.mapping[at]
-        rep = verify_factor_theorem(norm.world, norm.summands, at_n)
-        # the triangles the verify sweep builds for this pair
-        for x in sorted(norm.summands - {at_n}, key=lambda u: u.name()):
-            approximation_triangle(norm.world, x, rep.localised.pd)
+        rep = check_pair(norm.world, norm.summands, norm.mapping[at])
         data["factor_at"] = at.name()
         data["factor_dims"] = [list(r) for r in rep.factor_matrix]
         data["localised_dims"] = [list(r) for r in rep.localised_matrix]
@@ -334,10 +326,8 @@ def cmd_endo(args):
 
 
 def cmd_verify(args):
-    if args.target not in ("all", "cluster"):
-        raise UsageError("verify target must be 'all' or 'cluster'")
     q, name = load_quiver(args.quiver)
-    if args.m is None or args.m < 1:
+    if args.m < 1:
         raise UsageError("--m must be at least 1")
     source = name
     if args.quiver.upper() not in PRESET_NAMES:
@@ -458,10 +448,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except QuiverError as exc:
+    except (UsageError, QuiverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CliqueCapExceeded as exc:

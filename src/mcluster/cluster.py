@@ -249,7 +249,6 @@ def enumerate_slices(model: DerivedModel):
                 edges[a].add(b)
                 edges[b].add(a)
 
-    slices = []
     order = [0]
     parent = {0: None}
     seen = {0}
@@ -263,10 +262,15 @@ def enumerate_slices(model: DerivedModel):
                 order.append(nb)
                 queue.append(nb)
 
-    def extend(assign, k):
+    # depth first along `order`, a partial slice assigning order[:k]; the
+    # candidates are pushed in reverse so that they are popped in _vkey order
+    slices, stack = [], [{}]
+    while stack:
+        assign = stack.pop()
+        k = len(assign)
         if k == n:
             slices.append(tuple(assign[i] for i in range(n)))
-            return
+            continue
         o = order[k]
         par = parent[o]
         if par is None:
@@ -278,12 +282,8 @@ def enumerate_slices(model: DerivedModel):
                 for v in orbits[o]
                 if v in model.out[pv] or pv in model.out[v]
             ]
-        for v in sorted(cands, key=_vkey):
-            assign[o] = v
-            extend(assign, k + 1)
-            del assign[o]
-
-    extend({}, 0)
+        for v in sorted(cands, key=_vkey, reverse=True):
+            stack.append({**assign, o: v})
     _slices[model] = slices
     return slices
 
@@ -298,8 +298,6 @@ def slice_degree(model: DerivedModel, slice_vertices, x: DVertex) -> int | None:
     hits = []
     for d in range(x.shift - hi, x.shift - lo + 1):
         y = DVertex(x.module, x.shift - d)
-        if not model.contains(y):
-            continue
         if any(model.hom(s, y) > 0 for s in slice_vertices):
             hits.append(d)
     if len(hits) > 1:
@@ -355,7 +353,7 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
 
         alg = model.algebra_of_projectives(sl)
         sw_map = {
-            x: DVertex(alg.module(DVertex(y.module, y.shift - d)), d)
+            x: DVertex(model.module_over(alg, DVertex(y.module, y.shift - d)), d)
             for x, (y, d) in mapping.items()
         }
         new_t = frozenset(sw_map.values())

@@ -14,7 +14,7 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .errors import InternalCheckError, WindowOverflow
@@ -100,19 +100,12 @@ def _vkey(v: DVertex):
 @dataclass(frozen=True)
 class ProjectiveAlgebra:
     """A hereditary algebra given by window objects as its projectives, with
-    its own window model; `projectives[i]` is P(quiver.labels[i])."""
+    its own window model; `projectives[i]` is P(quiver.labels[i]).  It holds
+    no reference to the model whose objects those are, which caches it."""
 
     quiver: Quiver
     model: "DerivedModel"
     projectives: tuple[DVertex, ...]
-    parent: "DerivedModel" = field(repr=False, compare=False)
-
-    def module(self, u: DVertex) -> ARVertex:
-        """The module over this algebra with dimension vector Hom(P, u)."""
-        dim = tuple(self.parent.hom(p, u) for p in self.projectives)
-        if dim not in self.model.ar.by_dim:
-            raise InternalCheckError(f"no module has dimension vector Hom(P, {u}) = {dim}")
-        return self.model.ar.by_dim[dim]
 
 
 class DerivedModel:
@@ -193,15 +186,23 @@ class DerivedModel:
                 raise InternalCheckError(f"I - C^-1 has a negative entry for {reps}")
             for b, count in enumerate(counts):
                 arrows += [(labels[a], labels[b])] * count
-        q = make_quiver(labels, arrows, connected=False) if k else Quiver((), ())
+        q = make_quiver(labels, arrows, connected=False)
         model = self._family.get(q)
         if model is None:
             model = DerivedModel(knit_module_category(q), self.m)
             model._family = self._family
             self._family[q] = model
-        alg = ProjectiveAlgebra(q, model, reps, self)
+        alg = ProjectiveAlgebra(q, model, reps)
         self._algebras[reps] = alg
         return alg
+
+    def module_over(self, alg: ProjectiveAlgebra, u: DVertex) -> ARVertex:
+        """The module over alg, an algebra of projectives of this model, with
+        dimension vector Hom(P, u)."""
+        dim = tuple(self.hom(p, u) for p in alg.projectives)
+        if dim not in alg.model.ar.by_dim:
+            raise InternalCheckError(f"no module has dimension vector Hom(P, {u}) = {dim}")
+        return alg.model.ar.by_dim[dim]
 
     def _add_arrow(self, a: DVertex, b: DVertex):
         self.out[a].append(b)
@@ -234,8 +235,8 @@ class DerivedModel:
             y = self.tau_raw(y)
         return y
 
-    def g(self, x: DVertex, t: int = 1) -> DVertex:
-        y = self.g_raw(x, t)
+    def g(self, x: DVertex) -> DVertex:
+        y = self.g_raw(x)
         if y not in self._vset:
             raise WindowOverflow(f"{y} is outside the shift window {self.window}")
         return y

@@ -160,19 +160,14 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
         for ya in images
     )
 
-    if pd.H_prime.n:
-        pdata = endo_dims(pd.prime_model, loc.prime_summands)
-        # endo_dims sorts its summands; map back to our image order
-        perm = [pdata.summands.index(pd.to_prime(v)) for v in images]
-        pmat = _submatrix(pdata.hom_dims, perm)
-        larrows = _submatrix(pdata.arrows, perm)
-        if pmat != lmat:
-            raise InternalCheckError(
-                "localised dimensions disagree between the D0 fingerprint "
-                "and the H' model"
-            )
-    else:
-        larrows = tuple()
+    pdata = endo_dims(pd.prime_model, loc.prime_summands)
+    # endo_dims sorts its summands; map back to our image order
+    perm = [pdata.summands.index(pd.to_prime(v)) for v in images]
+    larrows = _submatrix(pdata.arrows, perm)
+    if _submatrix(pdata.hom_dims, perm) != lmat:
+        raise InternalCheckError(
+            "localised dimensions disagree between the D0 fingerprint and the H' model"
+        )
 
     return FactorReport(
         localised=loc,

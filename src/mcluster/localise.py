@@ -32,7 +32,6 @@ class PerpendicularData:
 
     base_module: ARVertex
     U_members: tuple[ARVertex, ...]
-    projectives_of_U: tuple[ARVertex, ...]
     H_prime: Quiver
     prime_model: DerivedModel
     module_map: dict[ARVertex, ARVertex]  # U member -> H' module vertex
@@ -70,7 +69,7 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
         )
 
     alg = model.algebra_of_projectives(DVertex(p, 0) for p in projs)
-    module_map = {u: alg.module(DVertex(u, 0)) for u in members}
+    module_map = {u: model.module_over(alg, DVertex(u, 0)) for u in members}
     if len(set(module_map.values())) != len(members) or len(members) != len(
         alg.model.ar.vertices
     ):
@@ -79,7 +78,6 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     pd = PerpendicularData(
         base_module=base,
         U_members=members,
-        projectives_of_U=tuple(p.module for p in alg.projectives),
         H_prime=alg.quiver,
         prime_model=alg.model,
         module_map=module_map,
@@ -88,39 +86,34 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     return pd
 
 
-def project_to_D0(model: DerivedModel, w: DObject | DVertex, pd: PerpendicularData) -> DObject:
+def project_to_D0(model: DerivedModel, w: DVertex, pd: PerpendicularData) -> DObject:
     """The image of w in D0, solved from its Hom fingerprint.
 
-    The image lives only in the degrees of w and one above, so the unknowns
+    The image lives only in the degree of w and one above, so the unknowns
     are the multiplicities of U[d] for U in U_M and d among those degrees.
     They satisfy a unitriangular integer system against hom(-, U[d])
     (directedness gives the triangle, bricks the unit diagonal), solved
     exactly by forward substitution in degree order and, within a degree,
-    in the creation order of U_M, which is topological.  The image of a
-    vertex is memoised on pd, which must be the perpendicular data of model.
+    in the creation order of U_M, which is topological.  The image is
+    memoised on pd, which must be the perpendicular data of model.
     """
-    if isinstance(w, DVertex):
-        img = pd.images.get(w)
-        if img is None:
-            img = pd.images[w] = project_to_D0(model, DObject.of([w]), pd)
+    img = pd.images.get(w)
+    if img is not None:
         return img
-    degrees = sorted({v.shift + e for v, _ in w.summands for e in (0, 1)})
-    if degrees and degrees[-1] > model.window[1]:
+    if w.shift + 1 > model.window[1]:
         # this is the exact condition for the window to see all of its support
-        raise WindowOverflow(
-            f"projection of {w.name()} may exceed the window {model.window}"
-        )
+        raise WindowOverflow(f"projection of {w.name()} may exceed the window {model.window}")
     coeffs: dict[DVertex, int] = {}
-    for d in degrees:
+    for d in (w.shift, w.shift + 1):
         for member in pd.U_members:
             u = DVertex(member, d)
-            b = sum(mult * model.hom(v, u) for v, mult in w.summands)
-            c_u = b - sum(c * model.hom(v, u) for v, c in coeffs.items())
+            c_u = model.hom(w, u) - sum(c * model.hom(v, u) for v, c in coeffs.items())
             if c_u < 0:
                 raise WindowOverflow(f"fingerprint solve went negative at {u}")
             if c_u:
                 coeffs[u] = c_u
-    return DObject(tuple(sorted(coeffs.items(), key=lambda it: _vkey(it[0]))))
+    img = pd.images[w] = DObject(tuple(sorted(coeffs.items(), key=lambda it: _vkey(it[0]))))
+    return img
 
 
 def approximation_triangle(
@@ -184,25 +177,16 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
     if len(set(images)) != len(images):
         raise InternalCheckError("two summands collapsed under localisation")
 
-    m = model.m
+    g = compatibility_graph(pd.prime_model)
     prime = []
     for v in images:
-        if not (0 <= v.shift <= m):
-            raise InternalCheckError(f"image {v} outside the H' domain")
-        if v.shift == m and v.module not in pd.projectives_of_U:
-            raise InternalCheckError(
-                f"image {v} at degree m is not projective in U_M"
-            )
-        prime.append(pd.to_prime(v))
+        p = pd.to_prime(v)
+        if p not in g.index:
+            raise InternalCheckError(f"image {v} is outside the fundamental domain of H'")
+        prime.append(p)
     prime_set = frozenset(prime)
-
-    if pd.H_prime.n == 0:
-        if prime_set:
-            raise InternalCheckError("nonempty image over the zero algebra")
-    else:
-        g = compatibility_graph(pd.prime_model)
-        if not g.is_clique(prime_set):
-            raise InternalCheckError("localised object is not m-rigid over H'")
-        if not g.is_maximal(prime_set):
-            raise InternalCheckError("localised object is not maximal over H'")
+    if not g.is_clique(prime_set):
+        raise InternalCheckError("localised object is not m-rigid over H'")
+    if not g.is_maximal(prime_set):
+        raise InternalCheckError("localised object is not maximal over H'")
     return LocalisedObject(pd=pd, images=images, prime_summands=prime_set)

@@ -14,6 +14,7 @@ hereditary algebra, so it is empty without knitting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .derived import DerivedModel, DObject, DVertex, _vkey
@@ -59,7 +60,9 @@ class MeshCategory:
     """Hom-space cache plus composition tables over one window model."""
 
     def __init__(self, model: DerivedModel):
-        self.model = model
+        # weak, because the model caches this category: a strong reference
+        # would make a cycle that only the cyclic collector frees
+        self._model = weakref.ref(model)
         self._spaces: dict[tuple[DVertex, DVertex], HomSpace] = {}
 
     def space(self, x: DVertex, y: DVertex) -> HomSpace:
@@ -67,28 +70,27 @@ class MeshCategory:
         hit = self._spaces.get(key)
         if hit is not None:
             return hit
+        model = self._model()
         for v in (x, y):
-            if not self.model.contains(v):
-                raise WindowOverflow(
-                    f"{v} is outside the shift window {self.model.window}"
-                )
+            if not model.contains(v):
+                raise WindowOverflow(f"{v} is outside the shift window {model.window}")
         if x == y:
             sp = HomSpace(x, y, [(x, 0)], {}, SpanBuilder(1))
         elif y.shift - x.shift not in (0, 1):
             sp = HomSpace(x, y, [], {}, SpanBuilder(0))
         else:
-            mids = self.model.inn[y]
+            mids = model.inn[y]
             cols, offset = [], {}
             for mid in mids:
                 offset[mid] = len(cols)
                 cols += [(mid, k) for k in range(self.space(x, mid).dim)]
             rel = SpanBuilder(len(cols))
-            ty = self.model.tau_raw(y)
-            if self.model.contains(ty):
+            ty = model.tau_raw(y)
+            if model.contains(ty):
                 for f in _units(self.space(x, ty).dim):
                     rel.add([c for mid in mids for c in self._push(x, ty, mid, f)])
             sp = HomSpace(x, y, cols, offset, rel)
-        expected = self.model.hom(x, y)
+        expected = model.hom(x, y)
         if sp.dim != expected:
             raise InternalCheckError(
                 f"mesh basis dim {sp.dim} != hammock dim {expected} for ({x}, {y})"

@@ -79,8 +79,6 @@ def _validate(q: Quiver, connected: bool = True) -> None:
     if remaining:
         raise CyclicQuiver(f"directed cycle through {sorted(remaining)}")
 
-    if q.n == 0:
-        raise NotDynkin("empty quiver")
     if connected and len(_components(q)) != 1:
         raise DisconnectedQuiver(
             f"underlying graph has {len(_components(q))} connected components"

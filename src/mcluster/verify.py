@@ -22,7 +22,7 @@ from .cluster import (
     tilting_modules,
 )
 from .derived import DerivedModel, DVertex
-from .endo import verify_factor_theorem
+from .endo import FactorReport, verify_factor_theorem
 from .errors import InternalCheckError, WindowOverflow
 from .localise import approximation_triangle
 from .quiver import Quiver, euler_form
@@ -229,6 +229,16 @@ def _pair(report: VerificationReport, o, x: DVertex) -> str:
     return f"{x} in {o.name()}, {report.quiver} m={report.m} (reproduce: {line})"
 
 
+def check_pair(world: DerivedModel, t, M: DVertex) -> FactorReport:
+    """Check the factor theorem for the normalised object t at its summand
+    M, and build the approximation triangle of every other summand by the
+    shifts of M; raises where a check does."""
+    rep = verify_factor_theorem(world, t, M)
+    for x in sorted(t - {M}, key=lambda u: u.name()):
+        approximation_triangle(world, x, rep.localised.pd)
+    return rep
+
+
 def check_localisation_and_factor(model: DerivedModel, objs, report: VerificationReport):
     """Check the factor theorem for every object at every summand M, read
     the localisation at M off its report, and build the approximation
@@ -252,9 +262,7 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
         domain = {v: x for x, v in norm.mapping.items()}
         for msum in sorted(norm.summands, key=lambda u: u.name()):
             try:
-                rep = verify_factor_theorem(norm.world, norm.summands, msum)
-                for x in sorted(norm.summands - {msum}, key=lambda u: u.name()):
-                    approximation_triangle(norm.world, x, rep.localised.pd)
+                rep = check_pair(norm.world, norm.summands, msum)
             except (InternalCheckError, WindowOverflow, ValueError) as exc:
                 raised.add(f"{exc} at {_pair(report, o, domain[msum])}")
                 continue

@@ -358,7 +358,6 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
         return verify_factor_theorem(model, t, M)
 
     monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
-    monkeypatch.setattr(cli, "verify_factor_theorem", flaky)
     sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     ok, details = sweeps["factor-theorem-sweep"]
     assert not ok and sweeps["localisation-sweep"] == (False, details)
@@ -385,7 +384,6 @@ def _fail_once(monkeypatch, exc):
         return verify_factor_theorem(model, t, M)
 
     monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
-    monkeypatch.setattr(cli, "verify_factor_theorem", flaky)
 
 
 def test_a_window_overflow_fails_one_pair(monkeypatch, capsys):

@@ -1,11 +1,18 @@
 import pytest
 
 from mcluster.arquiver import knit_module_category
-from mcluster.quiver import euler_form, positive_roots, preset
+from mcluster.quiver import euler_form, make_quiver, positive_roots, preset
 
 from oracles import hom_dim_intervals, interval_dim_vector, interval_modules
 
 PRESETS = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
+
+
+def test_zero_algebra_knits_to_an_empty_ar_quiver():
+    # the H' of a localisation over A1: no vertices, so no modules
+    ar = knit_module_category(make_quiver([], [], connected=False))
+    assert ar.n == 0
+    assert not (ar.vertices or ar.arrows or ar.meshes or ar.projectives or ar.injectives)
 
 
 def test_a1_structure():

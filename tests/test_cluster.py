@@ -292,26 +292,31 @@ def test_equal_quivers_share_one_window_model():
 
 def test_layer_caches_release_the_model():
     # graphs, slices, perpendicular data with their vertex images and the
-    # End(T) memo are cached weakly in the model, so a dropped model is freed
-    # together with the worlds built from it
-    model = DerivedModel(knit_module_category(preset("D4")), 1)
-    g = compatibility_graph(model)
-    assert enumerate_slices(model)
-    refs = [weakref.ref(model)]
-    for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(model, o.summands)
-        if not norm.identity:
-            refs.append(weakref.ref(norm.world))
-        rep = verify_factor_theorem(norm.world, norm.summands, min(norm.summands, key=_vkey))
-        assert norm.world in endo._endos and rep.localised.pd.images
-    for v in model.ar.vertices:
-        pd = perpendicular_algebra(model, DVertex(v, 0))
-        compatibility_graph(pd.prime_model)
-        refs.append(weakref.ref(pd.prime_model))
-    assert len(refs) > 1 + len(model.ar.vertices)  # some objects were re-sliced
-    del model, g, o, norm, pd, rep
-    # a model and its mesh category form a cycle; one held only by a weak
-    # dict's value under a dying model is garbage from the next pass on
-    while gc.collect():
-        pass
-    assert all(r() is None for r in refs)
+    # End(T) memo are cached weakly in the model, and no model sits on a
+    # reference cycle, so a dropped model is freed on its last reference
+    # together with the worlds built from it, without the cyclic collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = DerivedModel(knit_module_category(preset("D4")), 1)
+        g = compatibility_graph(model)
+        assert enumerate_slices(model)
+        refs = [weakref.ref(model)]
+        for o in enumerate_maximal_m_rigid(g):
+            norm = normalize_to_Dminus(model, o.summands)
+            if not norm.identity:
+                refs.append(weakref.ref(norm.world))
+            M = min(norm.summands, key=_vkey)
+            rep = verify_factor_theorem(norm.world, norm.summands, M)
+            assert norm.world in endo._endos and rep.localised.pd.images
+        for v in model.ar.vertices:
+            pd = perpendicular_algebra(model, DVertex(v, 0))
+            compatibility_graph(pd.prime_model)
+            refs.append(weakref.ref(pd.prime_model))
+        assert len(refs) > 1 + len(model.ar.vertices)  # some objects were re-sliced
+        del model, g, o, norm, pd, rep
+        alive = [r() for r in refs if r() is not None]
+        assert not alive, f"{len(alive)} of {len(refs)} models outlive their last reference"
+    finally:
+        if enabled:
+            gc.enable()

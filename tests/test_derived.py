@@ -169,7 +169,8 @@ def test_perpendicular_arrows_match_mesh_radical(world, name):
     mesh = mod.mesh_category()
     for v in mod.ar.vertices:
         pd = perpendicular_algebra(mod, DVertex(v, 0))
-        alg = mod.algebra_of_projectives(DVertex(p, 0) for p in pd.projectives_of_U)
+        projs = [u for u in pd.U_members if pd.module_map[u].projective_of is not None]
+        alg = mod.algebra_of_projectives(DVertex(p, 0) for p in projs)
         assert alg.quiver is pd.H_prime and alg.model is pd.prime_model
         reps, labels = alg.projectives, alg.quiver.labels
         expected = []

@@ -13,6 +13,7 @@ from mcluster.quiver import (
     dim_str,
     dynkin_type,
     euler_form,
+    make_quiver,
     parse_dim_str,
     parse_quiver,
     positive_roots,
@@ -51,6 +52,14 @@ def test_parse_loop_rejected():
 def test_parse_long_cycle_rejected():
     with pytest.raises(CyclicQuiver):
         parse_quiver(q_text(["1", "2", "3"], [["1", "2"], ["2", "3"], ["3", "1"]]))
+
+
+def test_empty_quiver_rejected():
+    # the component count refuses an empty quiver, and so does the parser
+    with pytest.raises(DisconnectedQuiver):
+        make_quiver([], [])
+    with pytest.raises(MalformedInput):
+        parse_quiver(q_text([], []))
 
 
 def test_parse_disconnected_rejected():
