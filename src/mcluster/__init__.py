@@ -10,14 +10,12 @@ from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .cluster import (
     CompatibilityGraph,
     MRigidObject,
-    NormalizedObject,
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
-    enumerate_slices,
     fundamental_domain,
     is_m_cluster_tilting,
-    normalize_to_Dminus,
+    normalize_to_Dminus,  # for the layer benchmark only; see its docstring
     tilting_modules,
 )
 from .derived import DerivedModel, DObject, DVertex

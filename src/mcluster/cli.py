@@ -19,7 +19,6 @@ from .cluster import (
     complements,
     enumerate_maximal_m_rigid,
     fundamental_domain,
-    normalize_to_Dminus,
 )
 from .derived import DerivedModel, DVertex
 from .endo import endo_dims
@@ -253,9 +252,7 @@ def cmd_localise(args):
         raise UsageError("--object is not m-rigid")
     if not g.is_maximal(obj):
         raise UsageError("--object is not maximal m-rigid, so it cannot be localised")
-    norm = normalize_to_Dminus(model, obj)
-    at_n = norm.mapping[at]
-    loc = localise_object(norm.world, norm.summands, at_n)
+    loc = localise_object(model, obj, at)
     pd = loc.pd
     # localise_object has checked that the image is maximal m-rigid over H'
     prime_g = compatibility_graph(pd.prime_model)
@@ -267,7 +264,6 @@ def cmd_localise(args):
         "quiver": name,
         "m": model.m,
         "at": at.name(),
-        "normalized": not norm.identity,
         "h_prime": {
             "vertices": list(pd.H_prime.vertices),
             "arrows": [list(a) for a in pd.H_prime.arrows],
@@ -295,8 +291,7 @@ def cmd_endo(args):
     if not g.is_maximal(obj):
         raise UsageError("--object is not maximal m-rigid; endo needs a maximal one")
     data = {"quiver": name, "m": model.m}
-    norm = normalize_to_Dminus(model, obj)
-    ed = endo_dims(norm.world, norm.summands)
+    ed = endo_dims(model, obj)
     order = [v.name() for v in ed.summands]
     data["summands"] = order
     data["hom_dims"] = [list(r) for r in ed.hom_dims]
@@ -312,7 +307,7 @@ def cmd_endo(args):
         at = parse_object_name(model, args.factor_at)
         if at not in obj:
             raise UsageError(f"--factor-at {args.factor_at} is not a summand")
-        rep = check_pair(norm.world, norm.summands, norm.mapping[at])
+        rep = check_pair(model, obj, at)
         data["factor_at"] = at.name()
         data["factor_dims"] = [list(r) for r in rep.factor_matrix]
         data["localised_dims"] = [list(r) for r in rep.localised_matrix]

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from .arquiver import ARQuiver, ARVertex
 from .derived import DerivedModel, DVertex, _vkey
-from .errors import CliqueCapExceeded, InternalCheckError, WindowOverflow
+from .errors import CliqueCapExceeded, InternalCheckError
 
 
 # per-model caches of this layer; a model's entries die with the model
 _graphs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_slices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def fundamental_domain(model: DerivedModel) -> tuple[DVertex, ...]:
@@ -208,166 +207,23 @@ def tilting_modules(ar: ARQuiver) -> list[frozenset[ARVertex]]:
     return out
 
 
-# --- slices and normalization into low degrees ----------------------------
-
-
-def _tau_orbits(model: DerivedModel) -> list[list[DVertex]]:
-    """Window vertices grouped by tau-orbit, each sorted along the orbit: the
-    window part of an orbit is one run (shifts are monotone along it), walked
-    by tau^-1 from the vertex whose tau leaves the window."""
-    orbits = []
-    for v in model.vertices:
-        if model.contains(model.tau_raw(v)):
-            continue
-        orbit = [v]
-        while model.contains(model.tau_inv_raw(orbit[-1])):
-            orbit.append(model.tau_inv_raw(orbit[-1]))
-        orbits.append(orbit)
-    if len(orbits) != model.quiver.n:
-        raise InternalCheckError(
-            f"{len(orbits)} tau-orbits in the window, expected {model.quiver.n}"
-        )
-    return sorted(orbits, key=lambda o: _vkey(o[0]))
-
-
-def enumerate_slices(model: DerivedModel):
-    """All sections of the window: one vertex per tau-orbit, neighbours
-    chosen adjacent across every edge of the underlying diagram."""
-    if model in _slices:
-        return _slices[model]
-    orbits = _tau_orbits(model)
-    orbit_of = {}
-    for i, o in enumerate(orbits):
-        for v in o:
-            orbit_of[v] = i
-    n = len(orbits)
-    edges = {i: set() for i in range(n)}
-    for v in model.vertices:
-        for w in model.out[v]:
-            a, b = orbit_of[v], orbit_of[w]
-            if a != b:
-                edges[a].add(b)
-                edges[b].add(a)
-
-    order = [0]
-    parent = {0: None}
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        for nb in sorted(edges[cur]):
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = cur
-                order.append(nb)
-                queue.append(nb)
-
-    # depth first along `order`, a partial slice assigning order[:k]; the
-    # candidates are pushed in reverse so that they are popped in _vkey order
-    slices, stack = [], [{}]
-    while stack:
-        assign = stack.pop()
-        k = len(assign)
-        if k == n:
-            slices.append(tuple(assign[i] for i in range(n)))
-            continue
-        o = order[k]
-        par = parent[o]
-        if par is None:
-            cands = orbits[o]
-        else:
-            pv = assign[par]
-            cands = [
-                v
-                for v in orbits[o]
-                if v in model.out[pv] or pv in model.out[v]
-            ]
-        for v in sorted(cands, key=_vkey, reverse=True):
-            stack.append({**assign, o: v})
-    _slices[model] = slices
-    return slices
-
-
-def slice_degree(model: DerivedModel, slice_vertices, x: DVertex) -> int | None:
-    """Degree of x relative to the heart cut out by the slice.
-
-    x lies in (mod H0)[d] exactly when some slice vertex (a projective of
-    H0) has a nonzero map to x[-d]; at most one d can fire.
-    """
-    lo, hi = model.window
-    hits = []
-    for d in range(x.shift - hi, x.shift - lo + 1):
-        y = DVertex(x.module, x.shift - d)
-        if any(model.hom(s, y) > 0 for s in slice_vertices):
-            hits.append(d)
-    if len(hits) > 1:
-        raise InternalCheckError(f"slice degree of {x} is ambiguous: {hits}")
-    return hits[0] if hits else None
+# --- the benchmark's normalisation call -------------------------------------
 
 
 @dataclass
 class NormalizedObject:
-    """A maximal m-rigid object repositioned so all summands have degree
-    below m, possibly over a derived-equivalent algebra."""
-
     world: DerivedModel
     summands: frozenset[DVertex]
     mapping: dict[DVertex, DVertex]
-    identity: bool
 
 
 def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
-    """Find a slice (and per-summand orbit representatives) putting every
-    summand of t in degrees 0..m-1, and verify maximality there.
+    """The identity: every summand of t is localised in the model where it
+    is named, so nothing is moved.
 
-    Summand representatives may move by powers of G: the object of the orbit
-    category is unchanged, only its window representative is.
+    Kept only for the `local-factor` pass of the layer benchmark
+    (`benchmarks/workloads.py`), which reads `.world`, `.summands` and
+    `.mapping`; ROADMAP item 1 deletes it together with that call.
     """
     t = frozenset(t)
-    m = model.m
-    if all(0 <= v.shift <= m - 1 for v in t):
-        return NormalizedObject(
-            world=model,
-            summands=t,
-            mapping={v: v for v in t},
-            identity=True,
-        )
-
-    for sl in enumerate_slices(model):
-        mapping = {}
-        for x in sorted(t, key=_vkey):
-            found = None
-            for gt in range(-3, 4):
-                y = model.g_raw(x, gt)
-                if not model.contains(y):
-                    continue
-                d = slice_degree(model, sl, y)
-                if d is not None and 0 <= d <= m - 1:
-                    found = (y, d)
-                    break
-            if found is None:
-                break
-            mapping[x] = found
-        if len(mapping) != len(t):
-            continue
-
-        alg = model.algebra_of_projectives(sl)
-        sw_map = {
-            x: DVertex(model.module_over(alg, DVertex(y.module, y.shift - d)), d)
-            for x, (y, d) in mapping.items()
-        }
-        new_t = frozenset(sw_map.values())
-        if len(new_t) != len(t):
-            raise InternalCheckError("normalization collapsed two summands")
-        g = compatibility_graph(alg.model)
-        if not g.is_clique(new_t):
-            raise InternalCheckError("normalized object is not m-rigid")
-        if not g.is_maximal(new_t):
-            raise InternalCheckError("normalized object is not maximal")
-        return NormalizedObject(
-            world=alg.model,
-            summands=new_t,
-            mapping=sw_map,
-            identity=False,
-        )
-    raise WindowOverflow("no normalizing slice found in the window")
+    return NormalizedObject(world=model, summands=t, mapping={v: v for v in t})

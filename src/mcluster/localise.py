@@ -120,7 +120,8 @@ def approximation_triangle(
     model: DerivedModel, x: DVertex, pd: PerpendicularData
 ) -> ApproxTriangle:
     """The triangle C -> x -> cone of a minimal right approximation of x by
-    the shifts M[0..m], with the cone taken as the D0 image of x.
+    the shifts X[0..m] of the base module X of pd, with the cone taken as
+    the D0 image of x.
 
     Checks the K0 identity [x] - [C] = [cone], which ties the mesh-category
     approximation to the independent fingerprint projection, and that x has
@@ -157,16 +158,17 @@ class LocalisedObject:
 def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
     """Image of a maximal m-rigid object under localisation at its summand M.
 
-    Requires deg(M) <= m-1 (normalize first).  Verifies every postcondition:
-    images are indecomposable, pairwise distinct, land in the fundamental
-    domain of H', and form a maximal m-rigid object there, checked against
-    the independently knitted compatibility graph of H'.
+    The summands of t, M among them, may be any vertices of the fundamental
+    domain: the perpendicular category depends on the module of M only, so
+    P_i[m] localises like P_i[0].  Verifies every postcondition: images are
+    indecomposable, pairwise distinct, land in the fundamental domain of
+    H', and form a maximal m-rigid object there, checked against the
+    independently knitted compatibility graph of H'.
     """
     t = frozenset(t)
     if M not in t:
         raise ValueError("M must be a summand of t")
-    if not 0 <= M.shift <= model.m - 1:
-        raise ValueError("deg(M) must lie in [0, m-1]; normalize first")
+    compatibility_graph(model).mask(t)  # a ValueError naming the domain
     pd = perpendicular_algebra(model, M)
     images = []
     for x in sorted(t - {M}, key=_vkey):

@@ -18,7 +18,6 @@ from .cluster import (
     enumerate_maximal_m_rigid,
     fundamental_domain,
     is_m_cluster_tilting,
-    normalize_to_Dminus,
     tilting_modules,
 )
 from .derived import DerivedModel, DVertex
@@ -68,8 +67,8 @@ class _Failures:
     count: int = 0
     first: str = ""
 
-    def add(self, text: str, count: int = 1):
-        self.count += count
+    def add(self, text: str):
+        self.count += 1
         self.first = self.first or text
 
     def summary(self, total: int, what: str) -> str:
@@ -229,13 +228,14 @@ def _pair(report: VerificationReport, o, x: DVertex) -> str:
     return f"{x} in {o.name()}, {report.quiver} m={report.m} (reproduce: {line})"
 
 
-def check_pair(world: DerivedModel, t, M: DVertex) -> FactorReport:
-    """Check the factor theorem for the normalised object t at its summand
-    M, and build the approximation triangle of every other summand by the
-    shifts of M; raises where a check does."""
-    rep = verify_factor_theorem(world, t, M)
+def check_pair(model: DerivedModel, t, M: DVertex) -> FactorReport:
+    """Check the factor theorem for the maximal object t at its summand M,
+    both named in the fundamental domain of model, and build the
+    approximation triangle of every other summand by the shifts of M;
+    raises where a check does."""
+    rep = verify_factor_theorem(model, t, M)
     for x in sorted(t - {M}, key=lambda u: u.name()):
-        approximation_triangle(world, x, rep.localised.pd)
+        approximation_triangle(model, x, rep.localised.pd)
     return rep
 
 
@@ -244,36 +244,30 @@ def check_localisation_and_factor(model: DerivedModel, objs, report: Verificatio
     the localisation at M off its report, and build the approximation
     triangle of every other summand by the shifts of M.
 
-    Every (object, summand) pair is checked.  A pair whose check raises
-    (an internal check, or a step out of the window that m fixes) fails
-    both sweeps, a localised object of the wrong size fails the
-    localisation sweep and a disagreement fails the factor sweep.  Each
-    kind is reported with its count and its first pair."""
+    Every (object, summand) pair is checked in model, as enumerated, the
+    pairs at some P_i[m] included.  A pair whose check raises (an internal
+    check, or a step out of the window that m fixes) fails both sweeps, a
+    localised object of the wrong size fails the localisation sweep and a
+    disagreement fails the factor sweep.  Each kind is reported with its
+    count and its first pair."""
     n = model.quiver.n
     pairs = sum(len(o.summands) for o in objs)
     raised, short, disagree = _Failures(), _Failures(), _Failures()
     for o in objs:
-        try:
-            norm = normalize_to_Dminus(model, o.summands)
-        except (InternalCheckError, WindowOverflow, ValueError) as exc:
-            first = min(o.summands, key=lambda u: u.name())
-            raised.add(f"{exc} at {_pair(report, o, first)}", len(o.summands))
-            continue
-        domain = {v: x for x, v in norm.mapping.items()}
-        for msum in sorted(norm.summands, key=lambda u: u.name()):
+        for M in sorted(o.summands, key=lambda u: u.name()):
             try:
-                rep = check_pair(norm.world, norm.summands, msum)
+                rep = check_pair(model, o.summands, M)
             except (InternalCheckError, WindowOverflow, ValueError) as exc:
-                raised.add(f"{exc} at {_pair(report, o, domain[msum])}")
+                raised.add(f"{exc} at {_pair(report, o, M)}")
                 continue
             size = len(rep.localised.prime_summands)
             if size != n - 1:
                 short.add(
                     f"{size} localised summands, expected {n - 1}, "
-                    f"at {_pair(report, o, domain[msum])}"
+                    f"at {_pair(report, o, M)}"
                 )
             if not rep.ok:
-                disagree.add(f"disagreement at {_pair(report, o, domain[msum])}")
+                disagree.add(f"disagreement at {_pair(report, o, M)}")
 
     def details(kinds, passed):
         return "; ".join(f.summary(pairs, what) for f, what in kinds if f.count) or passed

@@ -16,7 +16,6 @@ from mcluster.cluster import (
     enumerate_maximal_m_rigid,
     fundamental_domain,
     is_m_cluster_tilting,
-    normalize_to_Dminus,
     tilting_modules,
 )
 from mcluster.derived import DerivedModel, DVertex
@@ -185,23 +184,22 @@ def _local_grid(world, presets):
             yield _LOCAL_MODELS[idx, m]
 
 
-def _normalized_pairs(mod):
-    """Every (normalized object, summand) pair of the maximal objects."""
+def _pairs(mod):
+    """Every (object, summand) pair of the maximal objects, as enumerated."""
     for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
-        norm = normalize_to_Dminus(mod, o.summands)
-        for M in sorted(norm.summands, key=lambda u: u.name()):
-            yield norm, M
+        for M in sorted(o.summands, key=lambda u: u.name()):
+            yield o.summands, M
 
 
 def test_criterion_6_localisation(world):
     ok = True
     runs = 0
     for mod in _local_grid(world, [("A3", 1), ("A3", 2)]):
-        for norm, M in _normalized_pairs(mod):
+        for t, M in _pairs(mod):
             # localise_object itself asserts: images indecomposable and
             # distinct, inside the H' fundamental domain, and maximal
             # m-rigid against the independently built H' graph
-            loc = localise_object(norm.world, norm.summands, M)
+            loc = localise_object(mod, t, M)
             runs += 1
             if len(loc.prime_summands) != mod.quiver.n - 1:
                 ok = False
@@ -217,8 +215,8 @@ def test_criterion_7_factor_theorem(world):
     runs = 0
     presets = [(name, m) for name in ("A2", "A3") for m in (1, 2)]
     for mod in _local_grid(world, presets):
-        for norm, M in _normalized_pairs(mod):
-            rep = verify_factor_theorem(norm.world, norm.summands, M)
+        for t, M in _pairs(mod):
+            rep = verify_factor_theorem(mod, t, M)
             runs += 1
             if not (rep.dims_agree and rep.arrows_agree):
                 ok = False
@@ -234,10 +232,10 @@ def test_factor_algebras_match_the_span_oracles(world):
     # End(T)/(M) read off End(T) equals the spans built afresh per summand
     presets = [(name, m) for name in ("A2", "A3") for m in (1, 2)]
     for mod in _local_grid(world, presets):
-        for norm, M in _normalized_pairs(mod):
-            rep = verify_factor_theorem(norm.world, norm.summands, M)
-            assert rep.factor_matrix == factor_dims(norm.world, norm.summands, M)
-            assert rep.factor_arrow_counts == factor_arrows(norm.world, norm.summands, M)
+        for t, M in _pairs(mod):
+            rep = verify_factor_theorem(mod, t, M)
+            assert rep.factor_matrix == factor_dims(mod, t, M)
+            assert rep.factor_arrow_counts == factor_arrows(mod, t, M)
 
 
 def test_criterion_8_invariant_suites(world):
@@ -423,26 +421,6 @@ def test_the_reproducer_names_a_quiver_file_by_its_absolute_path(
     assert cli.main(shlex.split(line)[1:]) == 1
     monkeypatch.undo()
     assert cli.main(shlex.split(line)[1:]) == 0
-
-
-def test_a_failed_normalisation_fails_every_pair_of_its_object(monkeypatch):
-    def flaky(model, t):
-        # objects already in degrees 0..m-1 need no new slice
-        if any(v.shift == model.m for v in t):
-            raise InternalCheckError("broken slice")
-        return normalize_to_Dminus(model, t)
-
-    monkeypatch.setattr(verify, "normalize_to_Dminus", flaky)
-    model = DerivedModel(knit_module_category(preset("A3")), 2)
-    objs = enumerate_maximal_m_rigid(compatibility_graph(model))
-    resliced = [o for o in objs if any(v.shift == 2 for v in o.summands)]
-    assert 0 < len(resliced) < len(objs)
-    report = VerificationReport("A3", 2)
-    verify.check_localisation_and_factor(model, objs, report)
-    ok, details = _sweeps(report)["localisation-sweep"]
-    assert not ok and details.startswith("broken slice at ")
-    assert f" in {resliced[0].name()}, A3 m=2 (reproduce: " in details
-    assert details.endswith(f"; {3 * len(resliced)} of {3 * len(objs)} pairs failed")
 
 
 def test_the_invariant_loops_count_every_failure(monkeypatch):

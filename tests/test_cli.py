@@ -266,18 +266,38 @@ def test_window_overflow_is_resource_exit(monkeypatch, capsys):
     from mcluster import cli
     from mcluster.errors import WindowOverflow
 
-    argv = ["endo", "A2", "--m", "1", "--object", "11[0],01[0]"]
+    argv = ["endo", "A2", "--m", "1", "--object", "11[0],01[0]", "--factor-at", "11[0]"]
     assert cli.main(argv) == 0
 
-    def overflow(model, t):
-        raise WindowOverflow("no normalizing slice found in the window")
+    def overflow(model, t, M):
+        raise WindowOverflow("G-image outside the window")
 
-    monkeypatch.setattr(cli, "normalize_to_Dminus", overflow)
+    monkeypatch.setattr(cli, "check_pair", overflow)
     capsys.readouterr()
     assert cli.main(argv) == 3
-    assert capsys.readouterr().err == (
-        "out of range: no normalizing slice found in the window\n"
-    )
+    assert capsys.readouterr().err == "out of range: G-image outside the window\n"
+
+
+def test_endo_names_the_summands_as_typed(capsys):
+    from mcluster import cli
+
+    argv = ["endo", "A2", "--m", "1", "--object", "10[0],01[1]"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "End of 10[0] + 01[1] over A2 (m=1)"
+    assert cli.main([*argv, "--factor-at", "01[1]", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["summands"] == ["10[0]", "01[1]"]
+    assert data["factor_at"] == "01[1]" and data["factor_theorem"] is True
+
+
+def test_localise_at_a_shift_m_summand(capsys):
+    from mcluster import cli
+
+    argv = ["localise", "A2", "--m", "1", "--object", "10[0],01[1]", "--at", "01[1]"]
+    assert cli.main([*argv, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "normalized" not in data
+    assert data["at"] == "01[1]" and data["image"] == ["1[0]"]
 
 
 def test_ignored_flags_are_gone():

@@ -9,10 +9,8 @@ from mcluster.cluster import (
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
-    enumerate_slices,
     fundamental_domain,
     is_m_cluster_tilting,
-    normalize_to_Dminus,
     tilting_modules,
 )
 from mcluster.derived import DerivedModel, DVertex, _vkey
@@ -174,54 +172,6 @@ def test_calabi_yau_symmetry(world, name, m):
                 assert mod.hom_orbit(x, y, k) == mod.hom_orbit(y, x, m + 1 - k)
 
 
-def test_slices_of_a2(world):
-    mod = world("A2", 1)
-    slices = enumerate_slices(mod)
-    # every slice spans one copy of an A2 module category; reasonable count
-    assert slices
-    for sl in slices:
-        assert len(sl) == 2
-
-
-def test_normalize_identity(world):
-    mod = world("A2", 1)
-    t = frozenset([V(mod, (1, 1)), V(mod, (0, 1))])
-    norm = normalize_to_Dminus(mod, t)
-    assert norm.identity and norm.world is mod and norm.summands == t
-
-
-def test_normalize_reslice_case(world):
-    # {S1@0, P2@1} admits a slice with both summands at degree 0
-    mod = world("A2", 1)
-    t = frozenset([V(mod, (1, 0), 0), V(mod, (0, 1), 1)])
-    g = compatibility_graph(mod)
-    assert g.is_clique(t)
-    norm = normalize_to_Dminus(mod, t)
-    assert not norm.identity
-    assert all(v.shift == 0 for v in norm.summands)
-
-
-def test_normalize_g_translate_case(world):
-    # {P2@0, P1@1} needs a G-translate of one representative
-    mod = world("A2", 1)
-    t = frozenset([V(mod, (0, 1), 0), V(mod, (1, 1), 1)])
-    g = compatibility_graph(mod)
-    assert g.is_clique(t)
-    norm = normalize_to_Dminus(mod, t)
-    assert all(0 <= v.shift <= 0 for v in norm.summands)
-    assert len(norm.summands) == 2
-
-
-@pytest.mark.parametrize("name,m", [("A2", 1), ("A2", 2), ("A3", 1), ("A3", 2)])
-def test_normalize_every_maximal_object(world, name, m):
-    mod = world(name, m)
-    g = compatibility_graph(mod)
-    for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        assert len(norm.summands) == len(o.summands)
-        assert all(0 <= v.shift <= m - 1 for v in norm.summands)
-
-
 def test_coarse_bound(world):
     for name, m in [("A2", 1), ("A3", 2)]:
         mod = world(name, m)
@@ -274,47 +224,39 @@ def test_vertex_outside_the_domain_is_rejected(world):
 
 
 def test_equal_quivers_share_one_window_model():
-    # slices and perpendicular categories with equal quivers get one model
+    # perpendicular categories with equal quivers get one model
     model = DerivedModel(knit_module_category(preset("D4")), 1)
-    worlds, primes = {}, {}
-    resliced = perps = 0
+    primes = {}
+    perps = 0
     for o in enumerate_maximal_m_rigid(compatibility_graph(model)):
-        norm = normalize_to_Dminus(model, o.summands)
-        if not norm.identity:
-            resliced += 1
-            assert worlds.setdefault(norm.world.quiver, norm.world) is norm.world
-        for M in norm.summands:
-            pd = perpendicular_algebra(norm.world, M)
+        for M in o.summands:
+            pd = perpendicular_algebra(model, M)
             perps += 1
             assert primes.setdefault(pd.H_prime, pd.prime_model) is pd.prime_model
-    assert len(worlds) < resliced and len(primes) < perps
+    assert len(primes) < perps
 
 
 def test_layer_caches_release_the_model():
-    # graphs, slices, perpendicular data with their vertex images and the
-    # End(T) memo are cached weakly in the model, and no model sits on a
-    # reference cycle, so a dropped model is freed on its last reference
-    # together with the worlds built from it, without the cyclic collector
+    # graphs, perpendicular data with their vertex images and the End(T)
+    # memo are cached weakly in the model, and no model sits on a reference
+    # cycle, so a dropped model is freed on its last reference together with
+    # the H' models built from it, without the cyclic collector
     enabled = gc.isenabled()
     gc.disable()
     try:
         model = DerivedModel(knit_module_category(preset("D4")), 1)
         g = compatibility_graph(model)
-        assert enumerate_slices(model)
         refs = [weakref.ref(model)]
         for o in enumerate_maximal_m_rigid(g):
-            norm = normalize_to_Dminus(model, o.summands)
-            if not norm.identity:
-                refs.append(weakref.ref(norm.world))
-            M = min(norm.summands, key=_vkey)
-            rep = verify_factor_theorem(norm.world, norm.summands, M)
-            assert norm.world in endo._endos and rep.localised.pd.images
+            M = min(o.summands, key=_vkey)
+            rep = verify_factor_theorem(model, o.summands, M)
+            assert model in endo._endos and rep.localised.pd.images
         for v in model.ar.vertices:
             pd = perpendicular_algebra(model, DVertex(v, 0))
             compatibility_graph(pd.prime_model)
             refs.append(weakref.ref(pd.prime_model))
-        assert len(refs) > 1 + len(model.ar.vertices)  # some objects were re-sliced
-        del model, g, o, norm, pd, rep
+        assert len({r() for r in refs}) > 2  # more than one H' model
+        del model, g, o, pd, rep
         alive = [r() for r in refs if r() is not None]
         assert not alive, f"{len(alive)} of {len(refs)} models outlive their last reference"
     finally:

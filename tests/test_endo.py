@@ -2,11 +2,7 @@ import pytest
 
 from mcluster import endo
 from mcluster.arquiver import knit_module_category
-from mcluster.cluster import (
-    compatibility_graph,
-    enumerate_maximal_m_rigid,
-    normalize_to_Dminus,
-)
+from mcluster.cluster import compatibility_graph, enumerate_maximal_m_rigid
 from mcluster.derived import DerivedModel, DVertex, _vkey
 from mcluster.endo import endo_dims, factor_dims, verify_factor_theorem
 from mcluster.quiver import preset
@@ -60,9 +56,8 @@ def test_factor_keeps_diagonal(world):
     mod = world("A3", 1)
     g = compatibility_graph(mod)
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        for M in sorted(norm.summands, key=lambda v: v.name()):
-            mat = factor_dims(norm.world, norm.summands, M)
+        for M in sorted(o.summands, key=lambda v: v.name()):
+            mat = factor_dims(mod, o.summands, M)
             for i in range(len(mat)):
                 assert mat[i][i] >= 1
 
@@ -74,15 +69,14 @@ def test_factor_isolated_summand_equals_restriction(world):
     g = compatibility_graph(mod)
     found = False
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        ed = endo_dims(norm.world, norm.summands)
+        ed = endo_dims(mod, o.summands)
         for idx, M in enumerate(ed.summands):
             if all(
                 ed.hom_dims[idx][j] == (idx == j) and ed.hom_dims[j][idx] == (idx == j)
                 for j in range(len(ed.summands))
             ):
                 rest = [v for v in ed.summands if v != M]
-                mat = factor_dims(norm.world, norm.summands, M)
+                mat = factor_dims(mod, o.summands, M)
                 expect = tuple(
                     tuple(
                         ed.hom_dims[ed.summands.index(a)][ed.summands.index(b)]
@@ -109,9 +103,8 @@ def test_factor_theorem_sweep(world, name, m):
     mod = world(name, m)
     g = compatibility_graph(mod)
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        for M in sorted(norm.summands, key=lambda v: v.name()):
-            rep = verify_factor_theorem(norm.world, norm.summands, M)
+        for M in sorted(o.summands, key=lambda v: v.name()):
+            rep = verify_factor_theorem(mod, o.summands, M)
             assert rep.dims_agree, (o.name(), M.name())
             assert rep.arrows_agree, (o.name(), M.name())
 
@@ -123,16 +116,14 @@ def test_factor_additivity_of_quotient(world):
     mod = world("A3", 1)
     g = compatibility_graph(mod)
     o = enumerate_maximal_m_rigid(g)[0]
-    norm = normalize_to_Dminus(mod, o.summands)
-    order = sorted(norm.summands, key=lambda v: v.name())
-    w = norm.world
+    order = sorted(o.summands, key=lambda v: v.name())
     for M in order:
         rest = [v for v in order if v != M]
-        mat = factor_dims(norm.world, norm.summands, M)
+        mat = factor_dims(mod, o.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                sb, _ = _orbit_span(w, a, b, [M])
-                assert sb.width == w.hom(a, b) + w.hom(a, w.g(b))
+                sb, _ = _orbit_span(mod, a, b, [M])
+                assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g(b))
                 assert mat[i][j] + sb.rank == sb.width
 
 
@@ -150,15 +141,14 @@ def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
     monkeypatch.setattr(endo, "_orbit_span", counted)
     mod = DerivedModel(knit_module_category(preset("A3")), 1)
     o = enumerate_maximal_m_rigid(compatibility_graph(mod))[0]
-    norm = normalize_to_Dminus(mod, o.summands)
-    w, t = norm.world, norm.summands
+    t = o.summands
     first, second = sorted(t, key=_vkey)[:2]
 
     def built():
-        return sum(model is w for model in spans)
+        return sum(model is mod for model in spans)
 
-    verify_factor_theorem(w, t, first)
+    verify_factor_theorem(mod, t, first)
     assert built() == len(t) ** 2
-    factor_dims(w, t, second)
-    verify_factor_theorem(w, t, second)
+    factor_dims(mod, t, second)
+    verify_factor_theorem(mod, t, second)
     assert built() == len(t) ** 2

@@ -1,11 +1,8 @@
+import re
+
 import pytest
 
-from mcluster.cluster import (
-    compatibility_graph,
-    complements,
-    enumerate_maximal_m_rigid,
-    normalize_to_Dminus,
-)
+from mcluster.cluster import compatibility_graph, complements, enumerate_maximal_m_rigid
 from mcluster.derived import DObject, DVertex, _vkey
 from mcluster.localise import (
     approximation_triangle,
@@ -161,12 +158,10 @@ def test_approximation_postconditions_sweep(world, name, m):
     g = compatibility_graph(mod)
     nonzero = 0
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        w = norm.world
-        for M in sorted(norm.summands, key=lambda v: v.name()):
-            pd = perpendicular_algebra(w, M)
-            for x in sorted(norm.summands - {M}, key=lambda v: v.name()):
-                tri = approximation_triangle(w, x, pd)
+        for M in sorted(o.summands, key=lambda v: v.name()):
+            pd = perpendicular_algebra(mod, M)
+            for x in sorted(o.summands - {M}, key=lambda v: v.name()):
+                tri = approximation_triangle(mod, x, pd)
                 nonzero += bool(tri.approx_source.summands)
     assert nonzero
 
@@ -187,6 +182,35 @@ def test_localise_validates(world):
         localise_object(mod, t, V(mod, (1, 0)))
 
 
+@pytest.mark.parametrize(
+    "dim,shift",
+    [((1, 0), 1), ((0, 1), 2), ((0, 1), -1)],
+    ids=["non-projective-at-m", "shift-m+1", "negative-shift"],
+)
+def test_localise_refuses_a_summand_outside_the_domain(world, dim, shift):
+    mod = world("A2", 1)
+    bad = V(mod, dim, shift)
+    t = frozenset([V(mod, (1, 1)), bad])
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not in the fundamental domain (")):
+        localise_object(mod, t, bad)
+
+
+@pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("D4", 1)])
+def test_localise_at_a_projective_in_degree_m(world, name, m):
+    # the perpendicular category of P_i[m] is that of P_i[0], so the pair
+    # localises in the model where it is named, to n - 1 summands
+    mod = world(name, m)
+    g = compatibility_graph(mod)
+    pairs = 0
+    for o in enumerate_maximal_m_rigid(g):
+        for M in sorted(o.summands, key=_vkey):
+            if M.shift == m:
+                loc = localise_object(mod, o.summands, M)
+                assert len(loc.prime_summands) == g.n - 1
+                pairs += 1
+    assert pairs
+
+
 def test_localise_a1_gives_zero_algebra(world):
     mod = world("A1", 1)
     s = V(mod, (1,))
@@ -203,9 +227,8 @@ def test_localisation_full_sweep(world, name, m):
     g = compatibility_graph(mod)
     n = g.n
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        for M in sorted(norm.summands, key=lambda v: v.name()):
-            loc = localise_object(norm.world, norm.summands, M)
+        for M in sorted(o.summands, key=lambda v: v.name()):
+            loc = localise_object(mod, o.summands, M)
             assert len(loc.prime_summands) == n - 1
             pg = compatibility_graph(loc.pd.prime_model)
             for v in loc.prime_summands:
@@ -236,18 +259,15 @@ def test_zero_detection_factoring(world):
     g = compatibility_graph(mod)
     lo, hi = mod.window
     for o in enumerate_maximal_m_rigid(g):
-        norm = normalize_to_Dminus(mod, o.summands)
-        w = norm.world
-        wmesh = w.mesh_category()
-        for M in sorted(norm.summands, key=lambda v: v.name()):
-            pd = perpendicular_algebra(w, M)
+        for M in sorted(o.summands, key=lambda v: v.name()):
+            pd = perpendicular_algebra(mod, M)
             shifts = [
                 DVertex(pd.base_module, j)
-                for j in range(max(lo + 1, -1), min(hi - 1, w.m + 2))
+                for j in range(max(lo + 1, -1), min(hi - 1, mod.m + 2))
             ]
-            for x in sorted(norm.summands - {M}, key=lambda v: v.name()):
-                for y in sorted(norm.summands - {M}, key=lambda v: v.name()):
-                    img = project_to_D0(w, y, pd)
-                    lhs = sum(c * w.hom(x, v) for v, c in img.summands)
-                    rhs = w.hom(x, y) - wmesh.factoring_dim(x, y, shifts)
+            for x in sorted(o.summands - {M}, key=lambda v: v.name()):
+                for y in sorted(o.summands - {M}, key=lambda v: v.name()):
+                    img = project_to_D0(mod, y, pd)
+                    lhs = sum(c * mod.hom(x, v) for v, c in img.summands)
+                    rhs = mod.hom(x, y) - mesh.factoring_dim(x, y, shifts)
                     assert lhs == rhs
