@@ -87,18 +87,20 @@ def parse_domain_object(model, g, text) -> frozenset:
     return frozenset(summands)
 
 
-def clique_cap(text: str) -> int:
-    """--max-cliques: a count, so 0 or more."""
-    cap = int(text)
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
+def at_least(k: int):
+    """An argparse type: an integer of at least k (--m 1, --max-cliques 0)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, got {value}")
+        return value
+
+    return integer
 
 
 def build_model(args) -> tuple[DerivedModel, str]:
     q, name = load_quiver(args.quiver)
-    if args.m < 1:
-        raise UsageError("--m must be at least 1")
     return DerivedModel(knit_module_category(q), args.m), name
 
 
@@ -322,8 +324,6 @@ def cmd_endo(args):
 
 def cmd_verify(args):
     q, name = load_quiver(args.quiver)
-    if args.m < 1:
-        raise UsageError("--m must be at least 1")
     source = name
     if args.quiver.upper() not in PRESET_NAMES:
         # an absolute path, so that the reproducer lines of a failing sweep
@@ -370,10 +370,12 @@ def make_parser():
         sp.add_argument("quiver", help="preset name or quiver JSON file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if with_model:
-            sp.add_argument("--m", type=int, default=1, help="number of shifts (default 1)")
+            sp.add_argument(
+                "--m", type=at_least(1), default=1, help="number of shifts (default 1)"
+            )
         if with_cap:
             sp.add_argument(
-                "--max-cliques", type=clique_cap, default=None,
+                "--max-cliques", type=at_least(0), default=None,
                 help="cap on enumerated cliques",
             )
 

@@ -13,12 +13,10 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
-from .arquiver import ARQuiver, ARVertex, knit_module_category
+from .arquiver import ARQuiver, ARVertex
 from .errors import InternalCheckError, WindowOverflow
-from .quiver import Quiver, make_quiver
 
 
 class DVertex:
@@ -72,14 +70,6 @@ class DObject:
     def total(self) -> int:
         return sum(m for _, m in self.summands)
 
-    def name(self) -> str:
-        if not self.summands:
-            return "0"
-        parts = []
-        for v, m in self.summands:
-            parts.extend([v.name()] * m)
-        return " + ".join(parts)
-
 
 def default_window(m: int) -> tuple[int, int]:
     """The shift window of every model over m: degrees -3 to 2m + 2.
@@ -96,17 +86,6 @@ def default_window(m: int) -> tuple[int, int]:
 
 def _vkey(v: DVertex):
     return (v.shift, v.module.slice_index, v.module.name)
-
-
-@dataclass(frozen=True)
-class ProjectiveAlgebra:
-    """A hereditary algebra given by window objects as its projectives, with
-    its own window model; `projectives[i]` is P(quiver.labels[i]).  It holds
-    no reference to the model whose objects those are."""
-
-    quiver: Quiver
-    model: "DerivedModel"
-    projectives: tuple[DVertex, ...]
 
 
 class DerivedModel:
@@ -143,10 +122,6 @@ class DerivedModel:
             if tz in self._vset and set(self.inn[z]) != set(self.out[tz]):
                 raise InternalCheckError(f"mesh mismatch at {z}")
         self._mesh_cat = None
-        # one window model per quiver for this model and all models built from
-        # it, which share this dict; weak values, because a model's cached
-        # perpendicular data reaches the family and must not keep it alive
-        self._family: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def mesh_category(self):
         if self._mesh_cat is None:
@@ -154,51 +129,6 @@ class DerivedModel:
 
             self._mesh_cat = MeshCategory(self)
         return self._mesh_cat
-
-    def algebra_of_projectives(self, reps) -> ProjectiveAlgebra:
-        """The hereditary algebra H0 whose projectives are the Hom-directed
-        bricks reps (the projectives of a perpendicular category).
-
-        In _vkey order reps[a] becomes P(a+1).  The Cartan matrix
-        C[a][b] = dim Hom(P(b), P(a)) counts paths a -> b, and is
-        unitriangular by directedness; H0 is hereditary, so its arrow matrix
-        is I - C^-1, found row by row by forward substitution.  Algebras with
-        equal quivers share one window model across the family of this model.
-        Nothing is cached here: `perpendicular_algebra` memoises its result.
-        """
-        reps = tuple(sorted(reps, key=_vkey))
-        k = len(reps)
-        # zero-padded so that the lexicographic Quiver.labels order is reps order
-        labels = [str(a + 1).zfill(len(str(k))) for a in range(k)]
-        inv: list[list[int]] = []  # rows of C^-1
-        arrows = []
-        for a, pa in enumerate(reps):
-            row = [self.hom(pb, pa) for pb in reps]
-            if row[a] != 1 or any(row[a + 1:]):
-                raise InternalCheckError(f"Cartan matrix of {reps} is not unitriangular")
-            inv.append(
-                [(a == b) - sum(row[c] * inv[c][b] for c in range(a)) for b in range(k)]
-            )
-            counts = [(a == b) - x for b, x in enumerate(inv[a])]
-            if min(counts) < 0:
-                raise InternalCheckError(f"I - C^-1 has a negative entry for {reps}")
-            for b, count in enumerate(counts):
-                arrows += [(labels[a], labels[b])] * count
-        q = make_quiver(labels, arrows, connected=False)
-        model = self._family.get(q)
-        if model is None:
-            model = DerivedModel(knit_module_category(q), self.m)
-            model._family = self._family
-            self._family[q] = model
-        return ProjectiveAlgebra(q, model, reps)
-
-    def module_over(self, alg: ProjectiveAlgebra, u: DVertex) -> ARVertex:
-        """The module over alg, an algebra of projectives of this model, with
-        dimension vector Hom(P, u)."""
-        dim = tuple(self.hom(p, u) for p in alg.projectives)
-        if dim not in alg.model.ar.by_dim:
-            raise InternalCheckError(f"no module has dimension vector Hom(P, {u}) = {dim}")
-        return alg.model.ar.by_dim[dim]
 
     def _add_arrow(self, a: DVertex, b: DVertex):
         self.out[a].append(b)

@@ -14,12 +14,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from .arquiver import ARVertex
+from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .cluster import compatibility_graph
 from .derived import DerivedModel, DObject, DVertex, _vkey
 from .errors import InternalCheckError, WindowOverflow
 from .meshcat import ApproxTriangle, minimal_right_approximation
-from .quiver import Quiver
+from .quiver import Quiver, make_quiver
 
 # perpendicular data per model, keyed by the base module of M
 _perpendicular: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -43,12 +43,46 @@ class PerpendicularData:
         return DVertex(self.module_map[v.module], v.shift)
 
 
+def quiver_of_projectives(ar: ARQuiver, projectives) -> Quiver:
+    """The quiver of the hereditary algebra whose projectives are the
+    Hom-directed bricks `projectives`, modules of ar taken in the order
+    given: the a-th becomes P(a+1).
+
+    The Cartan matrix C[a][b] = dim Hom(P(b), P(a)) counts paths a -> b,
+    and is unitriangular when the order is directed; the algebra is
+    hereditary, so its arrow matrix is I - C^-1, found row by row by
+    forward substitution.
+    """
+    projectives = tuple(projectives)
+    k = len(projectives)
+    # zero-padded so that the lexicographic Quiver.labels order is the given order
+    labels = [str(a + 1).zfill(len(str(k))) for a in range(k)]
+    inv: list[list[int]] = []  # rows of C^-1
+    arrows = []
+    for a, pa in enumerate(projectives):
+        row = [ar.hom(pb, pa) for pb in projectives]
+        if row[a] != 1 or any(row[a + 1:]):
+            raise InternalCheckError(
+                f"Cartan matrix of {projectives} is not unitriangular"
+            )
+        inv.append(
+            [(a == b) - sum(row[c] * inv[c][b] for c in range(a)) for b in range(k)]
+        )
+        counts = [(a == b) - x for b, x in enumerate(inv[a])]
+        if min(counts) < 0:
+            raise InternalCheckError(f"I - C^-1 has a negative entry for {projectives}")
+        for b, count in enumerate(counts):
+            arrows += [(labels[a], labels[b])] * count
+    return make_quiver(labels, arrows, connected=False)
+
+
 def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     """Compute U_M, its projectives, the algebra H' and its window model.
 
-    H' is the algebra of the projectives of U_M (their endomorphism algebra
-    up to opposites); its module for u in U_M has dimension vector
-    Hom(projectives, u).
+    H' is the algebra of the projectives of U_M in directed order (their
+    endomorphism algebra up to opposites); its module for u in U_M has
+    dimension vector Hom(projectives, u), a module Hom.  Perpendicular
+    categories of one model with equal quivers share one H' model.
     """
     base = M.module
     cache = _perpendicular.setdefault(model, {})
@@ -60,26 +94,37 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     members = tuple(
         u for u in ar.vertices if ar.hom(base, u) == 0 and ar.ext(base, u) == 0
     )
-    projs = tuple(
-        p for p in members if all(ar.ext(p, u) == 0 for u in members)
+    projs = sorted(
+        (p for p in members if all(ar.ext(p, u) == 0 for u in members)),
+        key=lambda p: _vkey(DVertex(p, 0)),
     )
     if len(projs) != ar.n - 1:
         raise InternalCheckError(
             f"{len(projs)} perpendicular projectives, expected {ar.n - 1}"
         )
 
-    alg = model.algebra_of_projectives(DVertex(p, 0) for p in projs)
-    module_map = {u: model.module_over(alg, DVertex(u, 0)) for u in members}
+    q = quiver_of_projectives(ar, projs)
+    prime = next((pd.prime_model for pd in cache.values() if pd.H_prime == q), None)
+    if prime is None:
+        prime = DerivedModel(knit_module_category(q), model.m)
+    module_map = {}
+    for u in members:
+        dim = tuple(ar.hom(p, u) for p in projs)
+        if dim not in prime.ar.by_dim:
+            raise InternalCheckError(
+                f"no module has dimension vector Hom(P, {u.name}) = {dim}"
+            )
+        module_map[u] = prime.ar.by_dim[dim]
     if len(set(module_map.values())) != len(members) or len(members) != len(
-        alg.model.ar.vertices
+        prime.ar.vertices
     ):
         raise InternalCheckError("U_M does not match mod H'")
 
     pd = PerpendicularData(
         base_module=base,
         U_members=members,
-        H_prime=alg.quiver,
-        prime_model=alg.model,
+        H_prime=q,
+        prime_model=prime,
         module_map=module_map,
     )
     cache[base] = pd

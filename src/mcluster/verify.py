@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cluster import (
+    _bits,
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
@@ -179,7 +180,7 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
     histogram: dict[int, int] = {}
     ok = True
     for o in objs:
-        for v in sorted(o.summands, key=lambda u: u.name()):
+        for v in o.summands:
             partial = o.summands - {v}
             cs = complements(g, partial)
             histogram[len(cs)] = histogram.get(len(cs), 0) + 1
@@ -190,18 +191,20 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
     }
     report.add("complements", ok, f"expected {model.m + 1} per deletion")
 
-    maximal = {o.summands for o in objs}
-    all_cliques = set()
-    for o in objs:
-        members = sorted(o.summands, key=lambda u: u.name())
-        for mask in range(1 << len(members)):
-            all_cliques.add(
-                frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-            )
-    tilt_ok = True
-    for c in sorted(all_cliques, key=lambda s: (len(s), sorted(v.name() for v in s))):
-        if is_m_cluster_tilting(g, c) != (c in maximal):
-            tilt_ok = False
+    # every face of a maximal object, as the bitmask of its summands
+    maximal = {g.mask(o.summands) for o in objs}
+    all_cliques: set[int] = set()
+    for mask in maximal:
+        face = mask
+        while True:
+            all_cliques.add(face)
+            if not face:
+                break
+            face = (face - 1) & mask
+    tilt_ok = all(
+        is_m_cluster_tilting(g, [g.nodes[i] for i in _bits(c)]) == (c in maximal)
+        for c in all_cliques
+    )
     report.add(
         "maximal-equals-cluster-tilting",
         tilt_ok,

@@ -371,6 +371,26 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
     assert cli.main(argv) == 0
 
 
+def test_a_cluster_tilting_disagreement_fails_its_check(monkeypatch):
+    is_tilting, flipped = verify.is_m_cluster_tilting, []
+
+    def flaky(g, t):
+        # the wrong answer on the first non-maximal face asked about
+        t = frozenset(t)
+        if not flipped and len(t) < g.n:
+            flipped.append(t)
+            return not is_tilting(g, t)
+        return is_tilting(g, t)
+
+    monkeypatch.setattr(verify, "is_m_cluster_tilting", flaky)
+    rep = run_verify(preset("A3"), "A3", 1, "cluster")
+    checks = {name: ok for name, ok, _ in rep.checks}
+    assert len(flipped) == 1 and not rep.ok
+    assert [name for name, ok in checks.items() if not ok] == [
+        "maximal-equals-cluster-tilting"
+    ]
+
+
 def _fail_once(monkeypatch, exc):
     """Make the factor step raise exc at the first pair it is called on."""
     calls = []

@@ -140,9 +140,25 @@ def test_verify_timing_reports_each_stage(target, stages):
     assert "stage " not in run_cli("verify", target, "A2", "--m", "1").stdout
 
 
-def test_verify_usage_error_m0():
-    out = run_cli("verify", "all", "A2", "--m", "0")
+# every subcommand that builds a model, with its required options
+MODEL_COMMANDS = {
+    "fd": [],
+    "hom": ["--from", "01[0]", "--to", "11[0]"],
+    "factor-dim": ["--from", "01[0]", "--to", "11[0]", "--through", "01[0]"],
+    "enumerate": [],
+    "complements": ["--object", "01[0],11[0]", "--drop", "01[0]"],
+    "localise": ["--object", "01[0],11[0]", "--at", "01[0]"],
+    "endo": ["--object", "01[0],11[0]"],
+    "verify": ["all"],
+}
+
+
+@pytest.mark.parametrize("command", list(MODEL_COMMANDS))
+def test_verify_usage_error_m0(command):
+    out = run_cli(command, *MODEL_COMMANDS[command], "A2", "--m", "0")
     assert out.returncode == 2
+    assert "--m: must be at least 1" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_unknown_preset_is_usage_error():

@@ -236,6 +236,16 @@ def test_equal_quivers_share_one_window_model():
     assert len(primes) < perps
 
 
+def test_separately_built_models_share_no_h_prime_model():
+    a, b = (DerivedModel(knit_module_category(preset("D4")), 1) for _ in range(2))
+    primes_a, primes_b = (
+        {perpendicular_algebra(mod, DVertex(v, 0)).prime_model for v in mod.ar.vertices}
+        for mod in (a, b)
+    )
+    assert len(primes_a) == len(primes_b) == 3
+    assert not primes_a & primes_b
+
+
 def test_layer_caches_release_the_model():
     # graphs, perpendicular data with their vertex images and the End(T)
     # memo are cached weakly in the model, and no model sits on a reference

@@ -1,9 +1,9 @@
 import pytest
 
 from mcluster.arquiver import knit_module_category
-from mcluster.derived import DerivedModel, DVertex
-from mcluster.errors import WindowOverflow
-from mcluster.localise import perpendicular_algebra
+from mcluster.derived import DerivedModel, DVertex, _vkey
+from mcluster.errors import InternalCheckError, WindowOverflow
+from mcluster.localise import perpendicular_algebra, quiver_of_projectives
 from mcluster.quiver import preset
 
 PRESETS_M = [("A1", 1), ("A2", 1), ("A2", 2), ("A3", 1), ("A3", 2), ("D4", 1)]
@@ -151,12 +151,16 @@ def test_orbit_single_term_for_m_at_least_2(world, name, m):
                     assert terms[-1] == 0
 
 
-def _arrow_counts(alg):
-    labels = alg.quiver.labels
+def _arrow_counts(q):
+    labels = q.labels
     counts = [[0] * len(labels) for _ in labels]
-    for s, t in alg.quiver.arrows:
+    for s, t in q.arrows:
         counts[labels.index(s)][labels.index(t)] += 1
     return counts
+
+
+def _directed(modules):
+    return sorted(modules, key=lambda p: _vkey(DVertex(p, 0)))
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
@@ -168,10 +172,12 @@ def test_perpendicular_arrows_match_mesh_radical(world, name):
     mesh = mod.mesh_category()
     for v in mod.ar.vertices:
         pd = perpendicular_algebra(mod, DVertex(v, 0))
-        projs = [u for u in pd.U_members if pd.module_map[u].projective_of is not None]
-        alg = mod.algebra_of_projectives(DVertex(p, 0) for p in projs)
-        assert alg.quiver == pd.H_prime and alg.model is pd.prime_model
-        reps, labels = alg.projectives, alg.quiver.labels
+        projs = _directed(
+            u for u in pd.U_members if pd.module_map[u].projective_of is not None
+        )
+        q = quiver_of_projectives(mod.ar, projs)
+        assert q == pd.H_prime
+        reps, labels = [DVertex(p, 0) for p in projs], q.labels
         expected = []
         for a, pa in enumerate(reps):
             for b, pb in enumerate(reps):
@@ -180,21 +186,30 @@ def test_perpendicular_arrows_match_mesh_radical(world, name):
                 through = [r for r in reps if r not in (pa, pb)]
                 count = mod.hom(pb, pa) - mesh.factoring_dim(pb, pa, through)
                 expected += [(labels[a], labels[b])] * count
-        assert alg.quiver.arrows == tuple(expected)
+        assert q.arrows == tuple(expected)
 
 
 @pytest.mark.parametrize("name", ["A3", "A4"])
 def test_slice_arrows_match_ar_arrows(world, name):
-    # oracle: an AR arrow P(b) -> P(a) between the vertices of the slice
-    # of projectives P_i[0] is an arrow a -> b of its algebra, which is H
+    # oracle: an AR arrow P(b) -> P(a) between the projectives of mod H is
+    # an arrow a -> b of their algebra, which is H
     mod = world(name, 1)
-    sl = [DVertex(p, 0) for p in mod.ar.projectives.values()]
-    alg = mod.algebra_of_projectives(sl)
-    pos = {v: i for i, v in enumerate(alg.projectives)}
+    sl = _directed(mod.ar.projectives.values())
+    q = quiver_of_projectives(mod.ar, sl)
+    pos = {p: i for i, p in enumerate(sl)}
     expected = [[0] * len(sl) for _ in sl]
-    for v in sl:
-        for w in mod.out[v]:
+    for p in sl:
+        for w in mod.ar.out[p]:
             if w in pos:
-                expected[pos[w]][pos[v]] += 1
+                expected[pos[w]][pos[p]] += 1
     assert sum(map(sum, expected)) == len(sl) - 1  # the arrows of H
-    assert _arrow_counts(alg) == expected
+    assert _arrow_counts(q) == expected
+
+
+def test_projectives_out_of_directed_order_are_rejected(world):
+    mod = world("A2", 1)
+    sl = _directed(mod.ar.projectives.values())
+    # P(1) = 01 and P(2) = 11: the map 01 -> 11 is the arrow 2 -> 1
+    assert quiver_of_projectives(mod.ar, sl).arrows == (("2", "1"),)
+    with pytest.raises(InternalCheckError, match="not unitriangular"):
+        quiver_of_projectives(mod.ar, sl[::-1])
