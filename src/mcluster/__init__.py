@@ -18,7 +18,7 @@ from .cluster import (
     normalize_to_Dminus,  # for the layer benchmark only; see its docstring
     tilting_modules,
 )
-from .derived import DerivedModel, DObject, DVertex
+from .derived import DerivedModel, DVertex
 from .endo import (
     EndoAlgebraData,
     endo_dims,
@@ -44,11 +44,7 @@ from .localise import (
     perpendicular_algebra,
     project_to_D0,
 )
-from .meshcat import (
-    ApproxTriangle,
-    MeshCategory,
-    minimal_right_approximation,
-)
+from .meshcat import MeshCategory
 from .quiver import (
     PRESET_NAMES,
     Quiver,

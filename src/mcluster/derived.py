@@ -13,8 +13,6 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arquiver import ARQuiver, ARVertex
 from .errors import InternalCheckError, WindowOverflow
 
@@ -51,24 +49,6 @@ class DVertex:
 
     def __repr__(self):
         return self.name()
-
-
-@dataclass(frozen=True)
-class DObject:
-    """A finite multiset of DVertex summands."""
-
-    summands: tuple[tuple[DVertex, int], ...]
-
-    @staticmethod
-    def of(vertices) -> "DObject":
-        counts: dict[DVertex, int] = {}
-        for v in vertices:
-            counts[v] = counts.get(v, 0) + 1
-        items = sorted(counts.items(), key=lambda it: _vkey(it[0]))
-        return DObject(tuple(items))
-
-    def total(self) -> int:
-        return sum(m for _, m in self.summands)
 
 
 def default_window(m: int) -> tuple[int, int]:

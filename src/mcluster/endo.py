@@ -154,7 +154,7 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     g_images = [project_to_D0(model, model.g(yb), pd) for yb in images]
     lmat = tuple(
         tuple(
-            model.hom(ya, yb) + sum(mult * model.hom(ya, v) for v, mult in gyb.summands)
+            model.hom(ya, yb) + sum(mult * model.hom(ya, v) for v, mult in gyb.items())
             for yb, gyb in zip(images, g_images)
         )
         for ya in images

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from .arquiver import ARQuiver, ARVertex, knit_module_category
 from .cluster import compatibility_graph
-from .derived import DerivedModel, DObject, DVertex, _vkey
+from .derived import DerivedModel, DVertex, _vkey
 from .errors import InternalCheckError, WindowOverflow
-from .meshcat import ApproxTriangle, minimal_right_approximation
 from .quiver import Quiver, make_quiver
 
 # perpendicular data per model, keyed by the base module of M
@@ -131,8 +130,11 @@ def perpendicular_algebra(model: DerivedModel, M: DVertex) -> PerpendicularData:
     return pd
 
 
-def project_to_D0(model: DerivedModel, w: DVertex, pd: PerpendicularData) -> DObject:
-    """The image of w in D0, solved from its Hom fingerprint.
+def project_to_D0(
+    model: DerivedModel, w: DVertex, pd: PerpendicularData
+) -> dict[DVertex, int]:
+    """The image of w in D0, solved from its Hom fingerprint, as a dict
+    from summand to multiplicity.
 
     The image lives only in the degree of w and one above, so the unknowns
     are the multiplicities of U[d] for U in U_M and d among those degrees.
@@ -140,7 +142,8 @@ def project_to_D0(model: DerivedModel, w: DVertex, pd: PerpendicularData) -> DOb
     (directedness gives the triangle, bricks the unit diagonal), solved
     exactly by forward substitution in degree order and, within a degree,
     in the creation order of U_M, which is topological.  The image is
-    memoised on pd, which must be the perpendicular data of model.
+    memoised on pd, which must be the perpendicular data of model, and the
+    dict returned is the memo itself: callers must not change it.
     """
     img = pd.images.get(w)
     if img is not None:
@@ -157,40 +160,45 @@ def project_to_D0(model: DerivedModel, w: DVertex, pd: PerpendicularData) -> DOb
                 raise WindowOverflow(f"fingerprint solve went negative at {u}")
             if c_u:
                 coeffs[u] = c_u
-    img = pd.images[w] = DObject(tuple(sorted(coeffs.items(), key=lambda it: _vkey(it[0]))))
-    return img
+    pd.images[w] = coeffs
+    return coeffs
 
 
 def approximation_triangle(
     model: DerivedModel, x: DVertex, pd: PerpendicularData
-) -> ApproxTriangle:
-    """The triangle C -> x -> cone of a minimal right approximation of x by
-    the shifts X[0..m] of the base module X of pd, with the cone taken as
-    the D0 image of x.
+) -> tuple[dict[DVertex, int], dict[DVertex, int]]:
+    """The triangle C -> x -> cone of the minimal right approximation of x
+    by the shifts X[0..m] of the base module X of pd, as the pair (C, cone)
+    of dicts from summand to multiplicity; the cone is the D0 image of x.
 
-    Checks the K0 identity [x] - [C] = [cone], which ties the mesh-category
-    approximation to the independent fingerprint projection, and that x has
+    C is the sum of the X[j]^dim Hom(X[j], x), mapping to x by evaluation
+    on a basis of each Hom(X[j], x).  It is minimal because add C has no
+    radical maps: End(X[j]) is the field, X being a brick, and distinct
+    shifts of the rigid X have no maps between them.
+
+    Checks the K0 identity [x] - [C] = [cone], which ties the Hom
+    dimensions to the independent fingerprint projection, and that x has
     no maps to the positive shifts of C.
     """
-    cls = [DVertex(pd.base_module, j) for j in range(0, model.m + 1)]
-    tri = minimal_right_approximation(model.mesh_category(), x, cls)
-    tri.cone = project_to_D0(model, x, pd)
+    shifts = (DVertex(pd.base_module, j) for j in range(model.m + 1))
+    source = {c: d for c in shifts if (d := model.hom(c, x))}
+    cone = project_to_D0(model, x, pd)
     k0 = [0] * model.quiver.n  # [x] - [C] - [cone], with [X[k]] = (-1)^k dim X
-    for obj, sign in ((DObject.of([x]), 1), (tri.approx_source, -1), (tri.cone, -1)):
-        for v, mult in obj.summands:
+    for obj, sign in (({x: 1}, 1), (source, -1), (cone, -1)):
+        for v, mult in obj.items():
             c = -sign * mult if v.shift % 2 else sign * mult
             for i, d in enumerate(v.module.dim):
                 k0[i] += c * d
     if any(k0):
         raise InternalCheckError(f"[x] - [C] != [cone] in K0 for x = {x}")
-    lo, hi = model.window
-    for c, _ in tri.approx_source.summands:
+    hi = model.window[1]
+    for c in source:
         for t in range(1, hi - c.shift + 1):
             if model.hom(x, DVertex(c.module, c.shift + t)) != 0:
                 raise InternalCheckError(
                     f"Hom(x, approximation source[{t}]) is nonzero"
                 )
-    return tri
+    return source, cone
 
 
 @dataclass
@@ -218,9 +226,9 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
     images = []
     for x in sorted(t - {M}, key=_vkey):
         img = project_to_D0(model, x, pd)
-        if img.total() != 1:
+        if list(img.values()) != [1]:
             raise InternalCheckError(f"image of {x} is not indecomposable: {img}")
-        images.append(img.summands[0][0])
+        images.append(next(iter(img)))
     if len(set(images)) != len(images):
         raise InternalCheckError("two summands collapsed under localisation")
 

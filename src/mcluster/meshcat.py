@@ -15,9 +15,8 @@ hereditary algebra, so it is empty without knitting.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
-from .derived import DerivedModel, DObject, DVertex, _vkey
+from .derived import DerivedModel, DVertex, _vkey
 from .errors import InternalCheckError, WindowOverflow
 from .linalg import SpanBuilder
 
@@ -145,39 +144,3 @@ class MeshCategory:
                 sb.add(row)
         return sb.rank
 
-
-@dataclass
-class ApproxTriangle:
-    """A minimal right approximation with its chosen maps.
-
-    `maps` stores, per class member c, the chosen maps c -> target spanning
-    the top of the restricted Hom functor, as unit vectors in basis
-    coordinates of Hom(c, target); `cone` is the class of the third term
-    of the induced triangle when the caller can compute it (see localise).
-    """
-
-    approx_source: DObject
-    maps: dict[DVertex, list]
-    target: DVertex
-    cone: DObject | None = None
-
-
-def minimal_right_approximation(mesh: MeshCategory, x: DVertex, cls) -> ApproxTriangle:
-    """Minimal right add(cls)-approximation C -> x.
-
-    The multiplicity of c is the dimension of Hom(c, x) modulo maps that
-    factor through a radical map into another class member, and the chosen
-    maps are the basis maps completing that radical subspace.
-    """
-    cls = sorted(set(cls), key=_vkey)
-    maps: dict[DVertex, list] = {}
-    for c in cls:
-        d = mesh.space(c, x).dim
-        sb = SpanBuilder(d)
-        for c2 in cls:
-            if c2 != c:  # rad(c, c) = 0 for bricks
-                for row in mesh.compositions(c, c2, x):
-                    sb.add(row)
-        maps[c] = [e for e in _units(d) if sb.add(e)]
-    src = DObject.of([c for c in cls for _ in maps[c]])
-    return ApproxTriangle(approx_source=src, maps=maps, target=x)

@@ -244,12 +244,7 @@ def preset(name: str) -> Quiver:
 # --- dimension vectors --------------------------------------------------
 
 def dim_vector(q: Quiver, entries) -> tuple[int, ...]:
-    """Build a dimension vector from a mapping label -> int."""
-    if isinstance(entries, dict):
-        unknown = set(entries) - set(q.labels)
-        if unknown:
-            raise DimensionMismatch(f"unknown labels {sorted(unknown)}")
-        return tuple(int(entries.get(l, 0)) for l in q.labels)
+    """A dimension vector of q from its n entries, in label order."""
     vec = tuple(int(x) for x in entries)
     if len(vec) != q.n:
         raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")

@@ -4,14 +4,13 @@ None of them shares code with the algorithm it checks: clique enumeration
 is a naive breadth-first growth with maximality checks over the orbit Hom
 sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
-window Hom dimensions, approximations are checked by rank counts, the
-mesh category is rebuilt as paths modulo the mesh ideal, and the G-twist
-moves basis paths one by one.  The factor-algebra references are the
-exception: they share the orbit span of `mcluster.endo`, build it afresh
-for every summand M, and so check how End(T)/(M) is read off End(T).
+window Hom dimensions, the mesh category is rebuilt as paths modulo the
+mesh ideal, and the G-twist moves basis paths one by one.  The
+factor-algebra references are the exception: they share the orbit span of
+`mcluster.endo`, build it afresh for every summand M, and so check how
+End(T)/(M) is read off End(T).
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -267,34 +266,6 @@ def g_twist(paths, x, y, f):
     for c, col in zip(f, src.basis_cols):
         vec[dst.index[tuple(g(v) for v in src.paths[col])]] += c
     return dst.coords(vec)
-
-
-# --- approximation oracles for minimal_right_approximation ------------------
-
-
-def verify_approximation(mesh, tri, cls) -> bool:
-    """Every map from a class member to the target factors through the chosen
-    maps: checked by rank counts on basis coordinates."""
-    for probe in set(cls):
-        sb = SpanBuilder(mesh.space(probe, tri.target).dim)
-        for c, chosen in tri.maps.items():
-            for f in chosen:
-                for h in units(mesh.space(probe, c).dim):
-                    sb.add(compose_coords(mesh, probe, c, tri.target, h, f))
-        if sb.rank != sb.width:
-            return False
-    return True
-
-
-def verify_minimality(mesh, tri, cls) -> bool:
-    """Deleting any chosen map must break the approximation property."""
-    for c, chosen in tri.maps.items():
-        for k in range(len(chosen)):
-            maps = dict(tri.maps)
-            maps[c] = chosen[:k] + chosen[k + 1:]
-            if verify_approximation(mesh, replace(tri, maps=maps), cls):
-                return False
-    return True
 
 
 # --- factor algebras End(T)/(M) from spans built per summand ----------------

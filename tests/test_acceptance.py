@@ -482,3 +482,47 @@ def test_the_invariant_loops_count_every_failure(monkeypatch):
         False,
         f"{pairs} window pairs; broken basis at ({x}, {x}); 4 of {pairs} pairs failed",
     )
+
+
+def test_a_localisation_of_the_wrong_size_fails_only_its_sweep(monkeypatch):
+    check, short = verify.check_pair, []
+
+    def flaky(model, t, M):
+        # one H' summand dropped from the first pair checked
+        rep = check(model, t, M)
+        if not short:
+            short.append(M)
+            loc = rep.localised
+            loc.prime_summands -= {next(iter(loc.prime_summands))}
+        return rep
+
+    monkeypatch.setattr(verify, "check_pair", flaky)
+    sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
+    assert sweeps["factor-theorem-sweep"] == (True, "42 pairs checked")
+    assert sweeps["localisation-sweep"] == (
+        False,
+        "1 localised summands, expected 2, at 001[0] in 001[0] + 011[0] + 111[0], "
+        'A3 m=1 (reproduce: mcluster endo A3 --m 1 --object "001[0],011[0],111[0]" '
+        '--factor-at "001[0]"); 1 of 42 localisations have the wrong size',
+    )
+
+
+def test_two_nonzero_orbit_terms_fail_one_triple(monkeypatch):
+    # at m >= 2 at most one of the terms t = 0, 1 of an orbit Hom is nonzero;
+    # a map y -> G(y) makes both terms of (y, y, k=0) nonzero, and no other
+    # triple of the domain reads that Hom as its t = 1 term
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    fd = fundamental_domain(model)
+    y = next(v for v in fd if v.shift == 0)
+    gy, hom = model.g_raw(y), model.hom
+    monkeypatch.setattr(model, "hom", lambda a, b: 1 if (a, b) == (y, gy) else hom(a, b))
+    report = VerificationReport("A3", 2)
+    check_derived_invariants(model, report)
+    checks = {name: (ok, details) for name, ok, details in report.checks}
+    assert [name for name, (ok, _) in checks.items() if not ok] == ["orbit-window-vanishing"]
+    assert checks["orbit-window-vanishing"] == (
+        False,
+        f"{len(fd) ** 2} domain pairs, k <= 2; "
+        f"two orbit terms are nonzero for ({y}, {y}, k=0); "
+        "1 of 675 (x, y, k) triples failed",
+    )
