@@ -75,14 +75,18 @@ class CompatibilityGraph:
 
     def common_neighbours(self, t) -> int:
         """Bitmask of the vertices outside t adjacent to every vertex of t."""
-        mask = self.mask(t)
+        return self._common_neighbours(self.mask(t))
+
+    def _common_neighbours(self, mask: int) -> int:
         out = (1 << len(self.nodes)) - 1
         for i in _bits(mask):
             out &= self.adj[i]
         return out & ~mask
 
     def is_clique(self, vertices) -> bool:
-        t = self.mask(vertices)
+        return self._is_clique(self.mask(vertices))
+
+    def _is_clique(self, t: int) -> bool:
         return not t & ~self.rigid and all(
             not t & ~self.adj[i] & ~(1 << i) for i in _bits(t)
         )
@@ -160,9 +164,10 @@ def complements(g: CompatibilityGraph, partial) -> list[DVertex]:
     partial = frozenset(partial)
     if len(partial) != g.n - 1:
         raise ValueError(f"expected {g.n - 1} summands, got {len(partial)}")
-    if not g.is_clique(partial):
+    mask = g.mask(partial)
+    if not g._is_clique(mask):
         raise ValueError("input is not m-rigid")
-    return [g.nodes[i] for i in _bits(g.common_neighbours(partial) & g.rigid)]
+    return [g.nodes[i] for i in _bits(g._common_neighbours(mask) & g.rigid)]
 
 
 def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
@@ -172,9 +177,10 @@ def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
     not, so this is the cluster-tilting condition and not a restatement of
     clique maximality.
     """
-    if not g.is_clique(t):
+    mask = g.mask(t)
+    if not g._is_clique(mask):
         raise ValueError("input is not m-rigid")
-    return not g.common_neighbours(t)
+    return not g._common_neighbours(mask)
 
 
 def tilting_modules(ar: ARQuiver) -> list[frozenset[ARVertex]]:

@@ -2,7 +2,10 @@
 
 A Hom space of the orbit category between domain objects splits into two
 window pieces, Hom(a, b) and Hom(a, Gb), and spans of composites are built
-blockwise from the mesh category's composition tables.  The Gabriel quiver
+blockwise from the mesh category's composition tables.  `endo_dims` reads
+the Hom dimensions between summands first: it opens a span only for a pair
+with a composite that can be nonzero, and it checks there that no composite
+has a G^2 component.  The Gabriel quiver
 comes from rad/rad^2 computed on explicit mesh bases, and the factor
 theorem compares the quotient by maps through a chosen summand with the
 endomorphism data of the localised object.  Both sides of that comparison
@@ -43,7 +46,8 @@ def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
     Block 0 comes from a -> c -> b; block 1 from a -> c -> Gb and
     a -> Gc -> Gb.  G carries a basis of Hom(c, b) onto a basis of
     Hom(Gc, Gb), so the span never twists a map by G.  The would-be G^2
-    block of a -> Gc -> G^2 b lives in a vanishing Hom space.
+    block of a -> Gc -> G^2 b lives in a vanishing Hom space, which
+    `endo_dims` checks.
     """
     mesh = model.mesh_category()
     gb = model.g(b)
@@ -61,38 +65,58 @@ def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
             sb.add(row)
             one.add(row)
         through[c] = one.rank
-        if model.hom(a, gc) and model.hom(c, gb) and model.hom(a, model.g_raw(b, 2)):
-            raise InternalCheckError("nonzero G^2 component in a composition")
     return sb, through
 
 
 def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     """Hom matrix, rad^2 matrix, Gabriel arrow counts and the dimensions of
-    the maps through each single summand of End(t); memoised per model."""
+    the maps through each single summand of End(t); memoised per model.
+
+    The Hom dimensions h0 = Hom(a, c) and h1 = Hom(a, Gc) between summands
+    are read once.  A summand c enters the span of a pair (a, b) only when
+    one of its three composite blocks can be nonzero, and a pair with no
+    such c needs no span: its composites are all zero.
+    """
     order = tuple(sorted(t, key=_vkey))
     memo = _endos.setdefault(model, {})
     if order in memo:
         return memo[order]
     n = len(order)
-    hom = [[0] * n for _ in range(n)]
+    gs = [model.g(c) for c in order]
+    h0 = [[model.hom(a, c) for c in order] for a in order]
+    h1 = [[model.hom(a, gc) for gc in gs] for a in order]
+    hom = [[h0[i][j] + h1[i][j] for j in range(n)] for i in range(n)]
     radsq = [[0] * n for _ in range(n)]
     arrows = [[0] * n for _ in range(n)]
-    through = [[()] * n for _ in range(n)]
+    through = [[(0,) * n] * n for _ in range(n)]
     for i, a in enumerate(order):
         for j, b in enumerate(order):
-            sb, ranks = _orbit_span(model, a, b, [c for c in order if c != a and c != b])
-            through[i][j] = tuple(ranks.get(c, 0) for c in order)
-            hom[i][j] = sb.width
+            others = [k for k in range(n) if k != i and k != j]
+            if any(h1[i][k] and h1[k][j] for k in others) and model.hom(
+                a, model.g_raw(b, 2)
+            ):
+                raise InternalCheckError("nonzero G^2 component in a composition")
+            mids = [
+                order[k]
+                for k in others
+                if h0[i][k] and (h0[k][j] and h0[i][j] or h1[k][j] and h1[i][j])
+                or h1[i][k] and h0[k][j] and h1[i][j]
+            ]
+            rank = 0
+            if mids:
+                sb, ranks = _orbit_span(model, a, b, mids)
+                through[i][j] = tuple(ranks.get(c, 0) for c in order)
+                hom[i][j], rank = sb.width, sb.rank
             if i == j:
-                if sb.width != 1:
+                if hom[i][j] != 1:
                     raise InternalCheckError(
-                        f"End({a}) has dimension {sb.width}, expected 1"
+                        f"End({a}) has dimension {hom[i][j]}, expected 1"
                     )
-                if sb.rank:
+                if rank:
                     raise InternalCheckError("nonzero radical square on the diagonal")
                 continue
-            radsq[i][j] = sb.rank
-            arrows[i][j] = sb.width - sb.rank
+            radsq[i][j] = rank
+            arrows[i][j] = hom[i][j] - rank
     memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),

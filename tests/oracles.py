@@ -6,16 +6,18 @@ sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
 window Hom dimensions, the mesh category is rebuilt as paths modulo the
 mesh ideal, and the G-twist moves basis paths one by one.  The
-factor-algebra references are the exception: they share the orbit span of
-`mcluster.endo`, build it afresh for every summand M, and so check how
-End(T)/(M) is read off End(T).
+endomorphism-algebra references are the exception: they share the orbit
+span of `mcluster.endo`.  The End(T) reference opens a span for every pair
+of summands with every other summand as a mid, and so checks which spans
+`endo_dims` may skip; the factor-algebra references build a span afresh
+for every summand M, and so check how End(T)/(M) is read off End(T).
 """
 
 from fractions import Fraction
 from itertools import product
 
 from mcluster.derived import DVertex, _vkey
-from mcluster.endo import _orbit_span
+from mcluster.endo import EndoAlgebraData, _orbit_span
 from mcluster.linalg import SpanBuilder
 from mcluster.quiver import Quiver, tits_form
 
@@ -268,7 +270,35 @@ def g_twist(paths, x, y, f):
     return dst.coords(vec)
 
 
-# --- factor algebras End(T)/(M) from spans built per summand ----------------
+# --- End(T) and factor algebras End(T)/(M) from unpruned spans -------------
+
+
+def endo_dims(model, t):
+    """End(t) with one span per ordered pair of summands, every other summand
+    a mid of it."""
+    order = tuple(sorted(t, key=_vkey))
+    n = len(order)
+    hom = [[0] * n for _ in range(n)]
+    radsq = [[0] * n for _ in range(n)]
+    arrows = [[0] * n for _ in range(n)]
+    through = [[()] * n for _ in range(n)]
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            sb, ranks = _orbit_span(model, a, b, [c for c in order if c != a and c != b])
+            through[i][j] = tuple(ranks.get(c, 0) for c in order)
+            hom[i][j] = sb.width
+            if i != j:
+                radsq[i][j] = sb.rank
+                arrows[i][j] = sb.width - sb.rank
+    return EndoAlgebraData(
+        summands=order,
+        hom_dims=tuple(tuple(r) for r in hom),
+        rad_sq_dims=tuple(tuple(r) for r in radsq),
+        arrows=tuple(tuple(r) for r in arrows),
+        through_dims=tuple(tuple(r) for r in through),
+        total_dim=sum(sum(r) for r in hom),
+    )
+
 
 
 def factor_dims(model, t, M):

@@ -205,7 +205,9 @@ def test_verify_json_deterministic():
         assert a.returncode == 0 and a.stdout == b.stdout
 
 
-@pytest.mark.parametrize("name,m", [("A1", 2), ("A3", 2), ("A3", 4), ("D4", 1), ("D4", 2)])
+@pytest.mark.parametrize(
+    "name,m", [("A1", 2), ("A3", 2), ("A3", 4), ("D4", 1), ("D4", 2), ("D5", 1)]
+)
 def test_verify_all_json_matches_golden(name, m):
     out = run_cli("verify", "all", name, "--m", str(m), "--json")
     assert out.returncode == 0

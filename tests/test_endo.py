@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from mcluster import endo
@@ -5,7 +7,10 @@ from mcluster.arquiver import knit_module_category
 from mcluster.cluster import compatibility_graph, enumerate_maximal_m_rigid
 from mcluster.derived import DerivedModel, DVertex, _vkey
 from mcluster.endo import endo_dims, factor_dims, verify_factor_theorem
+from mcluster.errors import InternalCheckError
 from mcluster.quiver import preset
+
+import oracles
 
 
 def V(model, dim, shift=0):
@@ -128,9 +133,9 @@ def test_factor_additivity_of_quotient(world):
 
 
 def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
-    # End(T) is built once per object, one span per ordered pair of
-    # summands; the factor algebra at a second summand, and the whole factor
-    # theorem there, build no further span over T's model
+    # End(T) is built once per object, with at most one span per ordered
+    # pair of summands; the factor algebra at a second summand, and the
+    # whole factor theorem there, build no further span over T's model
     spans = []
     orbit_span = endo._orbit_span
 
@@ -148,7 +153,47 @@ def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
         return sum(model is mod for model in spans)
 
     verify_factor_theorem(mod, t, first)
-    assert built() == len(t) ** 2
+    spans_of_t = built()
+    assert 0 < spans_of_t <= len(t) ** 2
     factor_dims(mod, t, second)
     verify_factor_theorem(mod, t, second)
-    assert built() == len(t) ** 2
+    assert built() == spans_of_t
+
+
+@pytest.mark.parametrize(
+    "name,m", [("A3", 1), ("A3", 2), ("D4", 1), ("D4", 2), ("A4", 2), ("D5", 1)]
+)
+def test_skipped_spans_change_no_field_of_end_t(world, name, m):
+    mod = world(name, m)
+    for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
+        assert endo_dims(mod, o.summands) == oracles.endo_dims(mod, o.summands), o.name()
+
+
+def test_a_nonzero_g2_component_is_an_internal_error(monkeypatch):
+    # Hom(a, Gc) and Hom(c, Gb) both nonzero give composites a -> Gc -> G^2 b,
+    # which the span drops because Hom(a, G^2 b) vanishes; E6 m=1 has such
+    # triples (A3, D4, A4 and D5 at small m have none)
+    mod = DerivedModel(knit_module_category(preset("E6")), 1)
+
+    def h1(x, y):
+        return mod.hom(x, mod.g(y))
+
+    for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
+        t = o.sorted_summands()
+        meets = [(a, b) for a, c, b in permutations(t, 3) if h1(a, c) and h1(c, b)]
+        if meets:
+            break
+    quiet = [(a, b) for a, b in permutations(t, 2) if (a, b) not in meets]
+    assert quiet
+    hom = mod.hom
+
+    def nonzero_g2(a, b):
+        g2b = mod.g_raw(b, 2)
+        monkeypatch.setattr(mod, "hom", lambda x, y: 1 if (x, y) == (a, g2b) else hom(x, y))
+
+    nonzero_g2(*meets[0])
+    with pytest.raises(InternalCheckError, match="nonzero G\\^2 component"):
+        endo_dims(mod, t)
+    # the check reads Hom(a, G^2 b) only for a pair that has such a triple
+    nonzero_g2(*quiet[0])
+    assert endo_dims(mod, t).summands == t
