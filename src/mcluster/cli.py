@@ -250,9 +250,10 @@ def cmd_localise(args):
     at = parse_object_name(model, args.at)
     if at not in obj:
         raise UsageError(f"--at {args.at} is not a summand of --object")
-    if not g.is_clique(obj):
+    clique, maximal = g.clique_and_maximal(obj)
+    if not clique:
         raise UsageError("--object is not m-rigid")
-    if not g.is_maximal(obj):
+    if not maximal:
         raise UsageError("--object is not maximal m-rigid, so it cannot be localised")
     loc = localise_object(model, obj, at)
     pd = loc.pd
@@ -288,9 +289,10 @@ def cmd_endo(args):
     model, name = build_model(args)
     g = compatibility_graph(model)
     obj = parse_domain_object(model, g, args.object)
-    if not g.is_clique(obj):
+    clique, maximal = g.clique_and_maximal(obj)
+    if not clique:
         raise UsageError("--object is not m-rigid")
-    if not g.is_maximal(obj):
+    if not maximal:
         raise UsageError("--object is not maximal m-rigid; endo needs a maximal one")
     data = {"quiver": name, "m": model.m}
     ed = endo_dims(model, obj)

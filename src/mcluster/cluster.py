@@ -59,41 +59,52 @@ class CompatibilityGraph:
                 if all(ext(x, y, k) == 0 and ext(y, x, k) == 0 for k in ks):
                     self.adj[i] |= 1 << j
                     self.adj[j] |= 1 << i
+        self._full = (1 << len(self.nodes)) - 1
+        # each node's bit and closed neighbourhood, read by `_scan`
+        self._closed = {
+            v: (1 << i, self.adj[i] | 1 << i) for i, v in enumerate(self.nodes)
+        }
 
-    def mask(self, vertices) -> int:
-        """The bitmask of a set of fundamental-domain vertices."""
-        out = 0
+    def _scan(self, vertices) -> tuple[int, int]:
+        """The bitmask of a vertex set and the AND of the closed
+        neighbourhoods of its members, in one pass over the set.
+
+        A node lies in the AND when it is adjacent or equal to every member;
+        every predicate below is read off the pair.
+        """
+        mask, acc = 0, self._full
+        closed = self._closed
         for v in vertices:
-            i = self.index.get(v)
-            if i is None:
+            entry = closed.get(v)
+            if entry is None:
                 raise ValueError(
                     f"{v} is not in the fundamental domain (modules at shifts "
                     f"0..{self.m - 1}, projectives at shift {self.m})"
                 )
-            out |= 1 << i
-        return out
+            mask |= entry[0]
+            acc &= entry[1]
+        return mask, acc
+
+    def mask(self, vertices) -> int:
+        """The bitmask of a set of fundamental-domain vertices."""
+        return self._scan(vertices)[0]
 
     def common_neighbours(self, t) -> int:
         """Bitmask of the vertices outside t adjacent to every vertex of t."""
-        return self._common_neighbours(self.mask(t))
+        mask, acc = self._scan(t)
+        return acc & ~mask
 
-    def _common_neighbours(self, mask: int) -> int:
-        out = (1 << len(self.nodes)) - 1
-        for i in _bits(mask):
-            out &= self.adj[i]
-        return out & ~mask
+    def clique_and_maximal(self, vertices) -> tuple[bool, bool]:
+        """`is_clique` and `is_maximal` of one vertex set, from one scan."""
+        mask, acc = self._scan(vertices)
+        return not mask & ~(self.rigid & acc), not acc & ~mask & self.rigid
 
     def is_clique(self, vertices) -> bool:
-        return self._is_clique(self.mask(vertices))
-
-    def _is_clique(self, t: int) -> bool:
-        return not t & ~self.rigid and all(
-            not t & ~self.adj[i] & ~(1 << i) for i in _bits(t)
-        )
+        return self.clique_and_maximal(vertices)[0]
 
     def is_maximal(self, t) -> bool:
         """True when no rigid vertex outside t is adjacent to all of t."""
-        return not self.common_neighbours(t) & self.rigid
+        return self.clique_and_maximal(t)[1]
 
 
 def compatibility_graph(model: DerivedModel) -> CompatibilityGraph:
@@ -164,10 +175,10 @@ def complements(g: CompatibilityGraph, partial) -> list[DVertex]:
     partial = frozenset(partial)
     if len(partial) != g.n - 1:
         raise ValueError(f"expected {g.n - 1} summands, got {len(partial)}")
-    mask = g.mask(partial)
-    if not g._is_clique(mask):
+    mask, acc = g._scan(partial)
+    if mask & ~(g.rigid & acc):
         raise ValueError("input is not m-rigid")
-    return [g.nodes[i] for i in _bits(g._common_neighbours(mask) & g.rigid)]
+    return [g.nodes[i] for i in _bits(acc & ~mask & g.rigid)]
 
 
 def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
@@ -177,10 +188,10 @@ def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
     not, so this is the cluster-tilting condition and not a restatement of
     clique maximality.
     """
-    mask = g.mask(t)
-    if not g._is_clique(mask):
+    mask, acc = g._scan(t)
+    if mask & ~(g.rigid & acc):
         raise ValueError("input is not m-rigid")
-    return not g._common_neighbours(mask)
+    return not acc & ~mask
 
 
 def tilting_modules(ar: ARQuiver) -> list[frozenset[ARVertex]]:

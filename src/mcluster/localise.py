@@ -240,8 +240,9 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
             raise InternalCheckError(f"image {v} is outside the fundamental domain of H'")
         prime.append(p)
     prime_set = frozenset(prime)
-    if not g.is_clique(prime_set):
+    clique, maximal = g.clique_and_maximal(prime_set)
+    if not clique:
         raise InternalCheckError("localised object is not m-rigid over H'")
-    if not g.is_maximal(prime_set):
+    if not maximal:
         raise InternalCheckError("localised object is not maximal over H'")
     return LocalisedObject(pd=pd, images=images, prime_summands=prime_set)

@@ -5,17 +5,20 @@ is a naive breadth-first growth with maximality checks over the orbit Hom
 sums, Hom dimensions come from explicit representation matrices, positive
 roots from a bounded brute force over the Tits form, D0 membership from
 window Hom dimensions, the mesh category is rebuilt as paths modulo the
-mesh ideal, and the G-twist moves basis paths one by one.  The
-endomorphism-algebra references are the exception: they share the orbit
-span of `mcluster.endo`.  The End(T) reference opens a span for every pair
-of summands with every other summand as a mid, and so checks which spans
-`endo_dims` may skip; the factor-algebra references build a span afresh
-for every summand M, and so check how End(T)/(M) is read off End(T).
+mesh ideal, the G-twist moves basis paths one by one, and the cluster
+predicates are read pair by pair off the orbit Hom sums, never off the
+compatibility graph's bitmasks.  The endomorphism-algebra references are
+the exception: they share the orbit span of `mcluster.endo`.  The End(T)
+reference opens a span for every pair of summands with every other summand
+as a mid, and so checks which spans `endo_dims` may skip; the
+factor-algebra references build a span afresh for every summand M, and so
+check how End(T)/(M) is read off End(T).
 """
 
 from fractions import Fraction
 from itertools import product
 
+from mcluster.cluster import fundamental_domain
 from mcluster.derived import DVertex, _vkey
 from mcluster.endo import EndoAlgebraData, _orbit_span
 from mcluster.linalg import SpanBuilder
@@ -36,6 +39,55 @@ def compatible(model):
         return memo[x, y]
 
     return adjacent
+
+
+class PairwiseCluster:
+    """The cluster-layer predicates answered pair by pair from the orbit Hom
+    sums, with no bitmask: a vertex is rigid when its own Ext^k vanish, and
+    the set `nonrigid` is treated as not rigid whatever its Ext groups say.
+    Every answer is a set of vertices or a bool; inputs may repeat vertices.
+    """
+
+    def __init__(self, model, nonrigid=()):
+        ks = range(1, model.m + 1)
+        self.n = model.quiver.n
+        self.nodes = fundamental_domain(model)
+        self.adjacent = compatible(model)
+        self.rigid = {
+            v
+            for v in self.nodes
+            if v not in nonrigid and all(model.hom_orbit(v, v, k) == 0 for k in ks)
+        }
+
+    def is_clique(self, t) -> bool:
+        t = set(t)
+        return t <= self.rigid and all(
+            self.adjacent(x, y) for x in t for y in t if x != y
+        )
+
+    def common_neighbours(self, t) -> set:
+        t = set(t)
+        return {
+            u for u in self.nodes if u not in t and all(self.adjacent(u, x) for x in t)
+        }
+
+    def is_maximal(self, t) -> bool:
+        return not self.common_neighbours(t) & self.rigid
+
+    def complements(self, t) -> list:
+        """The rigid common neighbours in domain order; ValueError unless t
+        is an m-rigid object of n - 1 distinct summands."""
+        if len(set(t)) != self.n - 1 or not self.is_clique(t):
+            raise ValueError("not an almost complete m-rigid object")
+        cn = self.common_neighbours(t) & self.rigid
+        return [u for u in self.nodes if u in cn]
+
+    def is_m_cluster_tilting(self, t) -> bool:
+        """No vertex outside t, rigid or not, is compatible with all of t;
+        ValueError unless t is m-rigid."""
+        if not self.is_clique(t):
+            raise ValueError("not m-rigid")
+        return not self.common_neighbours(t)
 
 
 def in_D0(model, u, M):

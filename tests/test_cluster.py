@@ -1,4 +1,7 @@
+import copy
 import gc
+import random
+import re
 import weakref
 
 import pytest
@@ -19,7 +22,7 @@ from mcluster.errors import CliqueCapExceeded
 from mcluster.localise import perpendicular_algebra
 from mcluster.quiver import make_quiver, positive_roots, preset
 
-from oracles import compatible, naive_maximal_cliques
+from oracles import PairwiseCluster, compatible, naive_maximal_cliques
 
 
 def V(model, dim, shift=0):
@@ -218,9 +221,97 @@ def test_vertex_outside_the_domain_is_rejected(world):
     mod = world("A2", 1)
     g = compatibility_graph(mod)
     far = V(mod, (1, 1), 5)
-    for call in (g.mask, g.is_clique, g.common_neighbours):
-        with pytest.raises(ValueError, match="not in the fundamental domain"):
+    message = re.escape(
+        f"{far} is not in the fundamental domain (modules at shifts 0..0, "
+        "projectives at shift 1)"
+    )
+    calls = (
+        g.mask,
+        g.is_clique,
+        g.is_maximal,
+        g.common_neighbours,
+        g.clique_and_maximal,
+        lambda t: is_m_cluster_tilting(g, t),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
             call([V(mod, (0, 1)), far])
+    # one summand, n - 1 for A2, so the summand count is accepted first
+    with pytest.raises(ValueError, match=message):
+        complements(g, [far])
+
+
+def _outcome(call, *args):
+    """What a predicate returns, or ValueError when it raises one."""
+    try:
+        return call(*args)
+    except ValueError:
+        return ValueError
+
+
+def _property_inputs(oracle, rng, rounds):
+    """Vertex lists for the predicate property test: the empty list, then per
+    round a maximal clique grown at random from the oracle's relation, a random
+    prefix of it, it with one summand dropped, that almost complete object
+    with a stray vertex added and with a summand repeated, and a random subset
+    of the domain."""
+    nodes = list(oracle.nodes)
+    yield []
+    for _ in range(rounds):
+        order = rng.sample(nodes, len(nodes))
+        clique = []
+        for v in order:
+            if v in oracle.rigid and all(oracle.adjacent(v, u) for u in clique):
+                clique.append(v)
+        drop = rng.randrange(len(clique))
+        almost = clique[:drop] + clique[drop + 1 :]
+        yield clique
+        yield clique[: rng.randrange(len(clique) + 1)]
+        yield almost
+        yield almost + [rng.choice(nodes)]
+        yield almost + [rng.choice(almost)]
+        yield rng.sample(nodes, rng.randrange(oracle.n + 2))
+
+
+def _assert_predicates_agree(g, oracle, t, where):
+    where = f"{where} on {[v.name() for v in t]}"
+    cn = g.common_neighbours(t)
+    assert g.is_clique(t) == oracle.is_clique(t), where
+    assert g.is_maximal(t) == oracle.is_maximal(t), where
+    assert g.clique_and_maximal(t) == (oracle.is_clique(t), oracle.is_maximal(t)), where
+    assert {v for i, v in enumerate(g.nodes) if cn >> i & 1} == (
+        oracle.common_neighbours(t)
+    ), where
+    assert _outcome(complements, g, t) == _outcome(oracle.complements, t), where
+    assert _outcome(is_m_cluster_tilting, g, t) == _outcome(
+        oracle.is_m_cluster_tilting, t
+    ), where
+
+
+@pytest.mark.parametrize(
+    "name,m", [("A3", 1), ("A3", 2), ("D4", 1), ("D5", 2), ("E6", 1)]
+)
+def test_predicates_match_the_pairwise_oracle(world, name, m):
+    # the bitmask predicates against the pair-by-pair oracle on seeded random
+    # inputs; every Dynkin node is rigid, so a copy of the graph with one
+    # rigid bit cleared reaches the non-rigid branches
+    mod = world(name, m)
+    g = compatibility_graph(mod)
+    oracle = PairwiseCluster(mod)
+    rng = random.Random(0)
+    inputs = list(_property_inputs(oracle, rng, 12))
+    for t in inputs:
+        _assert_predicates_agree(g, oracle, t, f"{name} m={m}")
+    cleared = rng.choice(inputs[1])  # a summand of the first maximal clique
+    g_cleared = copy.copy(g)
+    g_cleared.rigid &= ~(1 << g.index[cleared])
+    oracle_cleared = PairwiseCluster(mod, nonrigid={cleared})
+    # the rest of that clique has the cleared vertex as a common neighbour
+    inputs.append([v for v in inputs[1] if v != cleared])
+    for t in inputs:
+        _assert_predicates_agree(
+            g_cleared, oracle_cleared, t, f"{name} m={m}, {cleared.name()} not rigid"
+        )
 
 
 def test_equal_quivers_share_one_window_model():
