@@ -37,26 +37,63 @@ class CompatibilityGraph:
     computed between all vertex pairs, self-rigidity being a separate flag,
     so that the maximal-clique and cluster-tilting predicates stay genuinely
     different tests.
+
+    Ext^k(x, y) is the orbit sum of Hom_D(x, G^t(y)[k]) over t = -2..2
+    (`DerivedModel.hom_orbit`); here it is read from bitmasks computed once
+    per node.  Each target G^t(y)[k] with |t| <= 1 and 1 <= k <= m, in a
+    degree some node maps to, gets one bit: `near[y]` holds the targets of
+    y, `supp[x]` those z with Hom_D(x, z) != 0, and all Ext^k(x, y) vanish
+    when supp[x] & near[y] is empty.  The |t| = 2 terms must vanish for
+    every ordered pair; each such target is read from every node, and a
+    nonzero one raises.
     """
 
     def __init__(self, model: DerivedModel):
         self.m = model.m
         self.n = model.quiver.n
-        self.nodes = fundamental_domain(model)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        ks = range(1, self.m + 1)
-        ext = model.hom_orbit
+        self.nodes = nodes = fundamental_domain(model)
+        self.index = {v: i for i, v in enumerate(nodes)}
+        # Hom_D(x, z) is nonzero only when deg z is deg x or deg x + 1
+        reach = {x.shift + gap for x in nodes for gap in (0, 1)}
+        bits: dict[DVertex, int] = {}
+        by_degree: dict[int, list[tuple[DVertex, int]]] = {}
+        far_of: dict[DVertex, DVertex] = {}  # |t| = 2 target -> first node
+        near = []
+        for y in nodes:
+            mask = 0
+            for t in range(-2, 3):
+                z = model.g_raw(y, t)
+                for k in range(1, self.m + 1):
+                    target = DVertex(z.module, z.shift + k)
+                    if abs(t) == 2:
+                        far_of.setdefault(target, y)
+                    elif target.shift in reach:
+                        bit = bits.get(target)
+                        if bit is None:
+                            bit = bits[target] = 1 << len(bits)
+                            by_degree.setdefault(target.shift, []).append((target, bit))
+                        mask |= bit
+            near.append(mask)
+        hom, supp = model.hom, []
+        for x in nodes:
+            for target, y in far_of.items():
+                if hom(x, target):
+                    raise InternalCheckError(
+                        f"an orbit term with |t| = 2 is nonzero for ({x}, {y})"
+                    )
+            s = 0
+            for gap in (0, 1):
+                for target, bit in by_degree.get(x.shift + gap, ()):
+                    if hom(x, target):
+                        s |= bit
+            supp.append(s)
         # bitmask of the self-rigid nodes
-        self.rigid = sum(
-            1 << i
-            for i, v in enumerate(self.nodes)
-            if all(ext(v, v, k) == 0 for k in ks)
-        )
-        self.adj = [0] * len(self.nodes)
-        for i, x in enumerate(self.nodes):
-            for j in range(i + 1, len(self.nodes)):
-                y = self.nodes[j]
-                if all(ext(x, y, k) == 0 and ext(y, x, k) == 0 for k in ks):
+        self.rigid = sum(1 << i for i, s in enumerate(supp) if not s & near[i])
+        self.adj = [0] * len(nodes)
+        for i in range(len(nodes)):
+            si, ni = supp[i], near[i]
+            for j in range(i + 1, len(nodes)):
+                if not (si & near[j] or supp[j] & ni):
                     self.adj[i] |= 1 << j
                     self.adj[j] |= 1 << i
         self._full = (1 << len(self.nodes)) - 1
@@ -189,6 +226,20 @@ def is_m_cluster_tilting(g: CompatibilityGraph, t) -> bool:
     clique maximality.
     """
     mask, acc = g._scan(t)
+    if mask & ~(g.rigid & acc):
+        raise ValueError("input is not m-rigid")
+    return not acc & ~mask
+
+
+def _is_tilting_mask(g: CompatibilityGraph, mask: int) -> bool:
+    """`is_m_cluster_tilting` of the vertex set with this bitmask, for the
+    face walk of `verify`, which has masks and no vertex lists."""
+    acc, nodes, closed = g._full, g.nodes, g._closed
+    rest = mask
+    while rest:
+        low = rest & -rest
+        acc &= closed[nodes[low.bit_length() - 1]][1]
+        rest ^= low
     if mask & ~(g.rigid & acc):
         raise ValueError("input is not m-rigid")
     return not acc & ~mask

@@ -22,10 +22,11 @@ class DVertex:
 
     Interned: `DVertex(module, shift)` returns the one instance for that pair,
     kept in `module.shifts`, so equality is identity and the hash is the
-    identity hash.  Instances are immutable.
+    identity hash.  The name is formatted once, when the instance is made, and
+    every `name()` call returns that one string.  Instances are immutable.
     """
 
-    __slots__ = ("module", "shift")
+    __slots__ = ("module", "shift", "_name")
 
     module: ARVertex
     shift: int
@@ -36,6 +37,7 @@ class DVertex:
             v = object.__new__(cls)
             object.__setattr__(v, "module", module)
             object.__setattr__(v, "shift", shift)
+            object.__setattr__(v, "_name", f"{module.name}[{shift}]")
             module.shifts[shift] = v
         return v
 
@@ -44,11 +46,12 @@ class DVertex:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an interned DVertex")
+
     def name(self) -> str:
-        return f"{self.module.name}[{self.shift}]"
+        return self._name
 
     def __repr__(self):
-        return self.name()
+        return self._name
 
 
 def default_window(m: int) -> tuple[int, int]:
@@ -163,6 +166,9 @@ class DerivedModel:
 
         Only t in {-1, 0, 1} can contribute; the t = +-2 ends of the scan are
         recomputed and asserted to vanish so that a modeling error is loud.
+        This is the reference sum, read term by term by the
+        orbit-window-vanishing check of `verify` and by the test oracles;
+        `CompatibilityGraph` reads the same terms from per-node bitmasks.
         """
         if not 0 <= k <= self.m:
             raise ValueError(f"k must be in [0, {self.m}]")

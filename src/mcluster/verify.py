@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cluster import (
-    _bits,
+    _is_tilting_mask,
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
@@ -201,10 +201,7 @@ def check_cluster_theorems(model: DerivedModel, g, objs, report: VerificationRep
             if not face:
                 break
             face = (face - 1) & mask
-    tilt_ok = all(
-        is_m_cluster_tilting(g, [g.nodes[i] for i in _bits(c)]) == (c in maximal)
-        for c in all_cliques
-    )
+    tilt_ok = all(_is_tilting_mask(g, c) == (c in maximal) for c in all_cliques)
     report.add(
         "maximal-equals-cluster-tilting",
         tilt_ok,

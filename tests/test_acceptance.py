@@ -372,17 +372,16 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
 
 
 def test_a_cluster_tilting_disagreement_fails_its_check(monkeypatch):
-    is_tilting, flipped = verify.is_m_cluster_tilting, []
+    is_tilting, flipped = verify._is_tilting_mask, []
 
-    def flaky(g, t):
+    def flaky(g, mask):
         # the wrong answer on the first non-maximal face asked about
-        t = frozenset(t)
-        if not flipped and len(t) < g.n:
-            flipped.append(t)
-            return not is_tilting(g, t)
-        return is_tilting(g, t)
+        if not flipped and bin(mask).count("1") < g.n:
+            flipped.append(mask)
+            return not is_tilting(g, mask)
+        return is_tilting(g, mask)
 
-    monkeypatch.setattr(verify, "is_m_cluster_tilting", flaky)
+    monkeypatch.setattr(verify, "_is_tilting_mask", flaky)
     rep = run_verify(preset("A3"), "A3", 1, "cluster")
     checks = {name: ok for name, ok, _ in rep.checks}
     assert len(flipped) == 1 and not rep.ok

@@ -215,6 +215,14 @@ def test_verify_all_json_matches_golden(name, m):
     assert out.stdout.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name,m", [("E6", 1), ("D5", 2)])
+def test_verify_cluster_json_matches_golden(name, m):
+    out = run_cli("verify", "cluster", name, "--m", str(m), "--json")
+    assert out.returncode == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_cluster_{name}_m{m}.json"
+    assert out.stdout.encode() == golden.read_bytes()
+
+
 _MODEL_COMMANDS = [
     ["fd", "A2"],
     ["hom", "A2", "--from", "11", "--to", "10"],

@@ -9,6 +9,7 @@ import pytest
 from mcluster import endo
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
+    CompatibilityGraph,
     compatibility_graph,
     complements,
     enumerate_maximal_m_rigid,
@@ -18,7 +19,7 @@ from mcluster.cluster import (
 )
 from mcluster.derived import DerivedModel, DVertex, _vkey
 from mcluster.endo import verify_factor_theorem
-from mcluster.errors import CliqueCapExceeded
+from mcluster.errors import CliqueCapExceeded, InternalCheckError
 from mcluster.localise import perpendicular_algebra
 from mcluster.quiver import make_quiver, positive_roots, preset
 
@@ -72,6 +73,61 @@ def test_a2_m1_example_edge(world):
     mod = world("A2", 1)
     s1, p2 = V(mod, (1, 0)), V(mod, (0, 1))
     assert mod.hom_orbit(s1, p2, 1) == 1  # S(1), P(2) do not pair
+
+
+def _assert_graph_matches_the_orbit_sums(model, where):
+    """Every rigid bit and every edge of the graph against the orbit sums of
+    `hom_orbit`, read pair by pair."""
+    g = CompatibilityGraph(model)
+    adjacent = compatible(model)
+    ks = range(1, model.m + 1)
+    for i, x in enumerate(g.nodes):
+        rigid = all(model.hom_orbit(x, x, k) == 0 for k in ks)
+        assert bool(g.rigid >> i & 1) == rigid, f"{where}: rigidity of {x}"
+        for j, y in enumerate(g.nodes):
+            assert bool(g.adj[i] >> j & 1) == adjacent(x, y), f"{where}: edge ({x}, {y})"
+
+
+ORACLE_GRID = [(name, m) for name in ("A2", "A3", "A4", "A5", "D4") for m in (1, 2, 3)]
+ORACLE_GRID += [("D5", 2), ("E6", 1), ("E6", 2)]
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("name,m", ORACLE_GRID)
+def test_graph_matches_the_orbit_sums(name, m, opposite):
+    q = preset(name)
+    if opposite:
+        q = make_quiver(q.vertices, [(t, s) for s, t in q.arrows])
+    model = DerivedModel(knit_module_category(q), m)
+    _assert_graph_matches_the_orbit_sums(model, f"{name}{'^op' if opposite else ''} m={m}")
+
+
+@pytest.mark.parametrize("name,m", [("D4", 1), ("A4", 2)])
+def test_graph_matches_the_orbit_sums_on_h_prime_models(name, m):
+    model = DerivedModel(knit_module_category(preset(name)), m)
+    pds = [perpendicular_algebra(model, DVertex(v, 0)) for v in model.ar.vertices]
+    primes = {id(pd.prime_model): pd for pd in pds}.values()
+    # a forest on n vertices with fewer than n - 1 arrows is disconnected
+    assert any(len(pd.H_prime.arrows) < pd.H_prime.n - 1 for pd in primes)
+    for pd in primes:
+        _assert_graph_matches_the_orbit_sums(pd.prime_model, f"H' = {pd.H_prime}")
+
+
+@pytest.mark.parametrize("t", [-2, 2])
+def test_a_nonzero_far_orbit_term_raises(monkeypatch, t):
+    # one Hom(x, G^t(y)[k]) with |t| = 2 read as nonzero: the build names
+    # the pair; G^t is an autoequivalence, so no other domain node y' has
+    # that target among its G^{+-2}(y')[k']
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    nodes = fundamental_domain(model)
+    x, y = nodes[0], nodes[-1]
+    z = model.g_raw(y, t)
+    z = DVertex(z.module, z.shift + model.m)
+    assert model.hom(x, z) == 0
+    hom = model.hom
+    monkeypatch.setattr(model, "hom", lambda a, b: 1 if (a, b) == (x, z) else hom(a, b))
+    with pytest.raises(InternalCheckError, match=re.escape(f"nonzero for ({x}, {y})")):
+        CompatibilityGraph(model)
 
 
 COUNTS = [

@@ -32,6 +32,21 @@ def test_window_vertices_are_immutable(world):
     assert x.shift == shift and DVertex(x.module, shift) is x
 
 
+def test_names_are_fixed_when_interned(world):
+    mod = world("A3", 2)
+    assert any(x.shift < 0 for x in mod.vertices)
+    for x in mod.vertices:
+        assert x.name() is x.name() is DVertex(x.module, x.shift).name()
+        assert x.name() == repr(x) == f"{x.module.name}[{x.shift}]"
+    x = mod.vertices[0]
+    name = x.name()
+    with pytest.raises(AttributeError):
+        x._name = "new"
+    with pytest.raises(AttributeError):
+        del x._name
+    assert x.name() is name
+
+
 def test_two_knittings_of_one_preset_share_no_vertex():
     a, b = (DerivedModel(knit_module_category(preset("A3")), 1) for _ in range(2))
     assert [x.name() for x in a.vertices] == [y.name() for y in b.vertices]
