@@ -126,22 +126,14 @@ class CompatibilityGraph:
         """The bitmask of a set of fundamental-domain vertices."""
         return self._scan(vertices)[0]
 
-    def common_neighbours(self, t) -> int:
-        """Bitmask of the vertices outside t adjacent to every vertex of t."""
-        mask, acc = self._scan(t)
-        return acc & ~mask
-
     def clique_and_maximal(self, vertices) -> tuple[bool, bool]:
-        """`is_clique` and `is_maximal` of one vertex set, from one scan."""
+        """Whether a vertex set is a clique of rigid vertices, and whether no
+        rigid vertex outside it is adjacent to all of it, from one scan."""
         mask, acc = self._scan(vertices)
         return not mask & ~(self.rigid & acc), not acc & ~mask & self.rigid
 
     def is_clique(self, vertices) -> bool:
         return self.clique_and_maximal(vertices)[0]
-
-    def is_maximal(self, t) -> bool:
-        """True when no rigid vertex outside t is adjacent to all of t."""
-        return self.clique_and_maximal(t)[1]
 
 
 def compatibility_graph(model: DerivedModel) -> CompatibilityGraph:
@@ -291,7 +283,7 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
 
     Kept only for the `local-factor` pass of the layer benchmark
     (`benchmarks/workloads.py`), which reads `.world`, `.summands` and
-    `.mapping`; ROADMAP item 1 deletes it together with that call.
+    `.mapping`; ROADMAP item 2 deletes it together with that call.
     """
     t = frozenset(t)
     return NormalizedObject(world=model, summands=t, mapping={v: v for v in t})

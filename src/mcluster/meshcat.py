@@ -10,6 +10,10 @@ leave this module only as coordinates in the chosen bases, and
 `compositions` is the one composition primitive: the table of composites of
 basis maps.  A Hom space with a degree gap outside {0, 1} vanishes over a
 hereditary algebra, so it is empty without knitting.
+
+The shift is a translation of the mesh category (Happel 1988), so Hom(x[d],
+y[d]) is Hom(x, y) with the same columns, relations and basis.  One space is
+kept per (module of x, module of y, degree gap), knitted from x at degree 0.
 """
 
 from __future__ import annotations
@@ -28,17 +32,15 @@ def _units(d: int) -> list[list[int]]:
 class HomSpace:
     """Basis data for Hom(x, y) in the mesh category.
 
-    `cols` lists the presentation columns (mid, k), block by block in the
-    order of the arrows into y, and `offset[mid]` is where the block of mid
-    starts; Hom(x, x) has the one column (x, 0), the identity.  `relations`
-    is the echelonized image of Hom(x, tau y), and the chosen basis is the
-    set of non-pivot columns.  Outside this module a morphism is its vector
-    of coordinates in that basis (see `coords`).
+    `cols` lists the presentation columns (mid, k), mid in degrees relative
+    to x, block by block in the order of the arrows into y; `offset[mid]` is
+    where the block of mid starts.  Hom(x, x) has the one column (x, 0), the
+    identity.  `relations` is the echelonized image of Hom(x, tau y), and the
+    chosen basis is the set of non-pivot columns.  Outside this module a
+    morphism is its vector of coordinates in that basis (see `coords`).
     """
 
-    def __init__(self, x: DVertex, y: DVertex, cols, offset, relations: SpanBuilder):
-        self.x = x
-        self.y = y
+    def __init__(self, cols, offset, relations: SpanBuilder):
         self.cols = cols
         self.offset = offset
         self.relations = relations
@@ -62,21 +64,24 @@ class MeshCategory:
         # weak, because the model caches this category: a strong reference
         # would make a cycle that only the cyclic collector frees
         self._model = weakref.ref(model)
-        self._spaces: dict[tuple[DVertex, DVertex], HomSpace] = {}
+        self._spaces: dict[tuple, HomSpace] = {}
 
     def space(self, x: DVertex, y: DVertex) -> HomSpace:
-        key = (x, y)
-        hit = self._spaces.get(key)
-        if hit is not None:
-            return hit
+        """Hom(x, y), window-checked on every call.  The knitting needs no
+        check: tau of a degree-0 or 1 vertex is in degree >= -1, in every window."""
         model = self._model()
         for v in (x, y):
             if not model.contains(v):
                 raise WindowOverflow(f"{v} is outside the shift window {model.window}")
+        key = (x.module, y.module, y.shift - x.shift)
+        hit = self._spaces.get(key)
+        if hit is not None:
+            return hit
+        x, y = DVertex(x.module, 0), DVertex(y.module, y.shift - x.shift)
         if x == y:
-            sp = HomSpace(x, y, [(x, 0)], {}, SpanBuilder(1))
-        elif y.shift - x.shift not in (0, 1):
-            sp = HomSpace(x, y, [], {}, SpanBuilder(0))
+            sp = HomSpace([(x, 0)], {}, SpanBuilder(1))
+        elif y.shift not in (0, 1):
+            sp = HomSpace([], {}, SpanBuilder(0))
         else:
             mids = model.inn[y]
             cols, offset = [], {}
@@ -85,10 +90,9 @@ class MeshCategory:
                 cols += [(mid, k) for k in range(self.space(x, mid).dim)]
             rel = SpanBuilder(len(cols))
             ty = model.tau_raw(y)
-            if model.contains(ty):
-                for f in _units(self.space(x, ty).dim):
-                    rel.add([c for mid in mids for c in self._push(x, ty, mid, f)])
-            sp = HomSpace(x, y, cols, offset, rel)
+            for f in _units(self.space(x, ty).dim):
+                rel.add([c for mid in mids for c in self._push(x, ty, mid, f)])
+            sp = HomSpace(cols, offset, rel)
         expected = model.hom(x, y)
         if sp.dim != expected:
             raise InternalCheckError(
@@ -104,7 +108,7 @@ class MeshCategory:
         arrow w -> v."""
         sp = self.space(x, v)
         vec = sp.zero()
-        start = sp.offset[w]
+        start = sp.offset[DVertex(w.module, w.shift - x.shift)]
         vec[start:start + len(f)] = f
         return sp.coords(vec)
 
@@ -134,6 +138,7 @@ class MeshCategory:
             return rows
         sp = self.space(y, z)
         mid, k = sp.cols[sp.basis_cols[j]]
+        mid = DVertex(mid.module, mid.shift + y.shift)
         return [self._push(x, mid, z, f) for f in self._follow(x, y, mid, k, rows)]
 
     def factoring_dim(self, x: DVertex, z: DVertex, through) -> int:

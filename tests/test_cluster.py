@@ -264,13 +264,16 @@ def test_tilting_modules_every_a3_orientation():
 def test_common_neighbours_pentagon(world):
     mod = world("A2", 1)
     g = compatibility_graph(mod)
-    assert g.common_neighbours([]) == (1 << 5) - 1
+    assert g.clique_and_maximal([]) == (True, False)
     for i, v in enumerate(g.nodes):
-        assert g.common_neighbours([v]) == g.adj[i]
+        # each vertex of the pentagon is completed by its two neighbours
+        neighbours = [u for j, u in enumerate(g.nodes) if g.adj[i] >> j & 1]
+        assert len(neighbours) == 2 and complements(g, [v]) == neighbours
     for o in enumerate_maximal_m_rigid(g):
-        assert g.common_neighbours(o.summands) == 0 and g.is_maximal(o.summands)
+        assert g.clique_and_maximal(o.summands) == (True, True)
         for v in o.summands:
-            assert not g.is_maximal(o.summands - {v})
+            assert g.clique_and_maximal(o.summands - {v}) == (True, False)
+            assert v in complements(g, o.summands - {v})
 
 
 def test_vertex_outside_the_domain_is_rejected(world):
@@ -284,8 +287,6 @@ def test_vertex_outside_the_domain_is_rejected(world):
     calls = (
         g.mask,
         g.is_clique,
-        g.is_maximal,
-        g.common_neighbours,
         g.clique_and_maximal,
         lambda t: is_m_cluster_tilting(g, t),
     )
@@ -331,13 +332,8 @@ def _property_inputs(oracle, rng, rounds):
 
 def _assert_predicates_agree(g, oracle, t, where):
     where = f"{where} on {[v.name() for v in t]}"
-    cn = g.common_neighbours(t)
     assert g.is_clique(t) == oracle.is_clique(t), where
-    assert g.is_maximal(t) == oracle.is_maximal(t), where
     assert g.clique_and_maximal(t) == (oracle.is_clique(t), oracle.is_maximal(t)), where
-    assert {v for i, v in enumerate(g.nodes) if cn >> i & 1} == (
-        oracle.common_neighbours(t)
-    ), where
     assert _outcome(complements, g, t) == _outcome(oracle.complements, t), where
     assert _outcome(is_m_cluster_tilting, g, t) == _outcome(
         oracle.is_m_cluster_tilting, t

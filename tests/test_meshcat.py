@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from mcluster.derived import DVertex
+from mcluster.arquiver import knit_module_category
+from mcluster.derived import DerivedModel, DVertex
 from mcluster.linalg import SpanBuilder
 from mcluster.meshcat import MeshCategory
+from mcluster.quiver import preset
 
 from oracles import (
     PathMeshCategory,
@@ -65,6 +67,31 @@ def test_dimension_agreement_everywhere(world, name, m):
                 y = DVertex(w, x.shift + gap)
                 if mod.contains(y):
                     mesh.space(x, y)
+
+
+@pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
+def test_shifted_copies_are_one_space(world, name, m):
+    # the shift is a translation of the mesh category: Hom(x[d], y[d]) is the
+    # one space knitted from x at degree 0
+    mod = world(name, m)
+    mesh = mod.mesh_category()
+    for x in mod.vertices:
+        for gap in (0, 1):
+            for w in mod.ar.vertices:
+                y = DVertex(w, x.shift + gap)
+                if mod.contains(y):
+                    base = mesh.space(DVertex(x.module, 0), DVertex(w, gap))
+                    assert mesh.space(x, y) is base, (x, y)
+
+
+def test_one_cached_space_per_module_pair_and_gap():
+    # D4 m=1 has 333 distinct (module, module, gap); one space per window
+    # pair, knitted in its own degree, made 2475
+    from mcluster.verify import VerificationReport, check_derived_invariants
+
+    mod = DerivedModel(knit_module_category(preset("D4")), 1)
+    check_derived_invariants(mod, VerificationReport("D4", 1))
+    assert len(mod.mesh_category()._spaces) == 333
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
