@@ -1,10 +1,8 @@
 """A finite window model of the bounded derived category of mod H.
 
-Indecomposables are pairs (module vertex, shift).  The translation quiver
-structure on the window glues shifted copies of the module AR-quiver with
-connecting arrows I(j)[t] -> P(i)[t+1] for every quiver arrow j -> i (over a
-hereditary algebra rad P(j) is the sum of those P(i), which is exactly what
-the connecting meshes need).
+Indecomposables are pairs (module vertex, shift).  The window bounds the
+shifts that the mesh category and the D0 projection may reach; its arrows
+live in `meshcat`, the only layer that reads them.
 
 Hom dimensions never require the window: for equal shifts they come from
 the module-level hammock, for a shift gap of one from the AR formula
@@ -14,7 +12,7 @@ Ext^1(X,Y) = D Hom(Y, tau X), and they vanish otherwise.
 from __future__ import annotations
 
 from .arquiver import ARQuiver, ARVertex
-from .errors import InternalCheckError, WindowOverflow
+from .errors import InternalCheckError
 
 
 class DVertex:
@@ -57,12 +55,13 @@ class DVertex:
 def default_window(m: int) -> tuple[int, int]:
     """The shift window of every model over m: degrees -3 to 2m + 2.
 
-    Summands and their localised images sit in degrees <= m and their
-    G-images in degrees <= 2m + 1; project_to_D0 needs one degree above its
-    input.  The lower end -3 is kept so that the mesh-basis-agreement pair
-    count and the goldens keep their values; raising it is a separate,
-    measured change, and it would change the op set of the mesh-basis
-    benchmark workload.
+    It bounds shifts and holds no arrows.  Its readers: `vertices` and
+    `contains` of DerivedModel (the mesh-basis-agreement pairs, and the
+    refusal of `MeshCategory.space` outside it), and project_to_D0, which
+    needs one degree above its input.  Summands and their localised images
+    sit in degrees <= m, their G-images in degrees <= 2m + 1.  The lower end
+    -3 keeps the mesh-basis-agreement pair count, the goldens and the op set
+    of the mesh-basis benchmark workload.
     """
     return (-3, 2 * m + 2)
 
@@ -81,29 +80,12 @@ class DerivedModel:
         self.ar = ar
         self.quiver = ar.quiver
         self.m = m
-        self.window = default_window(m)
-        lo, hi = self.window
+        lo, hi = self.window = default_window(m)
         self.vertices: list[DVertex] = sorted(
             (DVertex(v, t) for t in range(lo, hi + 1) for v in ar.vertices),
             key=_vkey,
         )
         self._vset = set(self.vertices)
-        self.out: dict[DVertex, list[DVertex]] = {v: [] for v in self.vertices}
-        self.inn: dict[DVertex, list[DVertex]] = {v: [] for v in self.vertices}
-        for t in range(lo, hi + 1):
-            for src, dst in ar.arrows:
-                self._add_arrow(DVertex(src, t), DVertex(dst, t))
-            if t + 1 <= hi:
-                for j, iv in ar.injectives.items():
-                    for w in ar.inn[ar.projectives[j]]:
-                        self._add_arrow(DVertex(iv, t), DVertex(w, t + 1))
-        for v in self.vertices:
-            self.out[v].sort(key=_vkey)
-            self.inn[v].sort(key=_vkey)
-        for z in self.vertices:
-            tz = self.tau_raw(z)
-            if tz in self._vset and set(self.inn[z]) != set(self.out[tz]):
-                raise InternalCheckError(f"mesh mismatch at {z}")
         self._mesh_cat = None
 
     def mesh_category(self):
@@ -112,10 +94,6 @@ class DerivedModel:
 
             self._mesh_cat = MeshCategory(self)
         return self._mesh_cat
-
-    def _add_arrow(self, a: DVertex, b: DVertex):
-        self.out[a].append(b)
-        self.inn[b].append(a)
 
     def contains(self, x: DVertex) -> bool:
         return x in self._vset
@@ -142,12 +120,6 @@ class DerivedModel:
         for _ in range(-t):
             y = DVertex(y.module, y.shift - self.m)
             y = self.tau_raw(y)
-        return y
-
-    def g(self, x: DVertex) -> DVertex:
-        y = self.g_raw(x)
-        if y not in self._vset:
-            raise WindowOverflow(f"{y} is outside the shift window {self.window}")
         return y
 
     # --- Hom dimensions ----------------------------------------------------

@@ -50,13 +50,13 @@ def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
     `endo_dims` checks.
     """
     mesh = model.mesh_category()
-    gb = model.g(b)
+    gb = model.g_raw(b)
     d0 = mesh.space(a, b).dim
     d1 = mesh.space(a, gb).dim
     sb = SpanBuilder(d0 + d1)
     through = {}
     for c in mids:
-        gc = model.g(c)
+        gc = model.g_raw(c)
         one = SpanBuilder(d0 + d1)
         rows = [row + [0] * d1 for row in mesh.compositions(a, c, b)]
         for row in mesh.compositions(a, c, gb) + mesh.compositions(a, gc, gb):
@@ -82,7 +82,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     if order in memo:
         return memo[order]
     n = len(order)
-    gs = [model.g(c) for c in order]
+    gs = [model.g_raw(c) for c in order]
     h0 = [[model.hom(a, c) for c in order] for a in order]
     h1 = [[model.hom(a, gc) for gc in gs] for a in order]
     hom = [[h0[i][j] + h1[i][j] for j in range(n)] for i in range(n)]
@@ -175,7 +175,7 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     farrows = _submatrix(ed.arrows, [i for i, v in enumerate(ed.summands) if v != M])
 
     pd, images = loc.pd, loc.images
-    g_images = [project_to_D0(model, model.g(yb), pd) for yb in images]
+    g_images = [project_to_D0(model, model.g_raw(yb), pd) for yb in images]
     lmat = tuple(
         tuple(
             model.hom(ya, yb) + sum(mult * model.hom(ya, v) for v, mult in gyb.items())

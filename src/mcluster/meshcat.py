@@ -1,15 +1,20 @@
 """Knitted Hom functors in the mesh category of the window model.
 
-Hom(x, -) is knitted across the meshes of the window translation quiver
-(Riedtmann 1980; Happel 1988): for z != x every map x -> z ends in an arrow
-mid -> z, and the mesh at z is the only relation among those, so Hom(x, z)
-is the cokernel of Hom(x, tau z) -> sum of Hom(x, mid) over the arrows
-mid -> z (the all-plus sign convention; any consistent choice of signs
-gives the same dimensions, which the hammock cross-check guards).  Morphisms
-leave this module only as coordinates in the chosen bases, and
-`compositions` is the one composition primitive: the table of composites of
-basis maps.  A Hom space with a degree gap outside {0, 1} vanishes over a
-hereditary algebra, so it is empty without knitting.
+The translation quiver of D^b(mod H) glues shifted copies of the module
+AR-quiver with connecting arrows I(j)[t] -> P(i)[t+1] for every quiver arrow
+j -> i (rad P(j) is the sum of those P(i), as the connecting meshes need).
+Arrows and meshes repeat in every degree, so the category keeps the arrows
+into degrees 0 and 1 and checks each mesh once per module.
+
+Hom(x, -) is knitted across the meshes (Riedtmann 1980; Happel 1988): for
+z != x every map x -> z ends in an arrow mid -> z, and the mesh at z is the
+only relation among those, so Hom(x, z) is the cokernel of Hom(x, tau z) ->
+sum of Hom(x, mid) over the arrows mid -> z (the all-plus sign convention;
+any consistent choice of signs gives the same dimensions, which the hammock
+cross-check guards).  Morphisms leave this module only as coordinates in
+the chosen bases, and `compositions` is the one composition primitive: the
+table of composites of basis maps.  A Hom space with a degree gap outside
+{0, 1} vanishes over a hereditary algebra, so it is empty without knitting.
 
 The shift is a translation of the mesh category (Happel 1988), so Hom(x[d],
 y[d]) is Hom(x, y) with the same columns, relations and basis.  One space is
@@ -65,6 +70,27 @@ class MeshCategory:
         # would make a cycle that only the cyclic collector frees
         self._model = weakref.ref(model)
         self._spaces: dict[tuple, HomSpace] = {}
+        ar = model.ar
+        # the connecting arrows I(j)[-1] -> P(i)[0], one per quiver arrow j -> i
+        down = {p: [] for p in ar.projectives.values()}
+        for j, i in ar.quiver.arrows:
+            down[ar.projectives[i]].append(ar.injectives[j])
+        for z in ar.vertices:
+            # the mesh tau z -> mids -> z; at z = P(i), tau z is I(i)[-1], and
+            # its arrows into degree 0 are those into P(i) by construction
+            tz = ar.tau.get(z) or ar.injectives[z.projective_of]
+            if set(ar.out[tz]) != set(down.get(z, ar.inn[z])):
+                raise InternalCheckError(f"mesh mismatch at {z.name}")
+        # the arrows into each vertex of degrees 0 and 1, in _vkey order
+        self._inn = {
+            DVertex(z, d): sorted(
+                [DVertex(w, d) for w in ar.inn[z]]
+                + [DVertex(w, d - 1) for w in down.get(z, ())],
+                key=_vkey,
+            )
+            for d in (0, 1)
+            for z in ar.vertices
+        }
 
     def space(self, x: DVertex, y: DVertex) -> HomSpace:
         """Hom(x, y), window-checked on every call.  The knitting needs no
@@ -83,7 +109,7 @@ class MeshCategory:
         elif y.shift not in (0, 1):
             sp = HomSpace([], {}, SpanBuilder(0))
         else:
-            mids = model.inn[y]
+            mids = self._inn[y]
             cols, offset = [], {}
             for mid in mids:
                 offset[mid] = len(cols)

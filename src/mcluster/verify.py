@@ -91,10 +91,11 @@ def check_derived_invariants(model: DerivedModel, report: VerificationReport):
     )
     report.add("euler-identity", bad == 0, f"{len(ar.vertices) ** 2} module pairs")
 
+    # ext is D Hom(Y, tau X); the other AR formula is D Hom(tau^-1 Y, X)
     bad = sum(
         1
         for x, y in _module_pairs(model)
-        if ar.ext(x, y) != (0 if x not in ar.tau else ar.hom(y, ar.tau[x]))
+        if ar.ext(x, y) != (0 if y not in ar.tau_inv else ar.hom(ar.tau_inv[y], x))
     )
     report.add("serre-duality", bad == 0, "Ext^1(X,Y) = Hom(Y, tau X)")
 

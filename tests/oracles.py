@@ -246,8 +246,24 @@ class PathMeshCategory:
 
     def __init__(self, model):
         self.model = model
+        ar, (lo, hi) = model.ar, model.window
+        # the window arrows: those of mod H in each degree, and I(j)[t] ->
+        # P(i)[t+1] for each quiver arrow j -> i
+        arrows = [
+            (DVertex(a, t), DVertex(b, t)) for t in range(lo, hi + 1) for a, b in ar.arrows
+        ]
+        arrows += [
+            (DVertex(ar.injectives[j], t), DVertex(ar.projectives[i], t + 1))
+            for t in range(lo, hi)
+            for j, i in model.quiver.arrows
+        ]
+        self.out = {v: [] for v in model.vertices}
+        inn = {v: [] for v in model.vertices}
+        for a, b in arrows:
+            self.out[a].append(b)
+            inn[b].append(a)
         self.meshes = [
-            (model.tau_raw(z), model.inn[z], z)
+            (model.tau_raw(z), inn[z], z)
             for z in model.vertices
             if model.contains(model.tau_raw(z))
         ]
@@ -264,7 +280,7 @@ class PathMeshCategory:
                 if p[-1] == y:
                     out.append(p)
                     continue
-                for w in self.model.out[p[-1]]:
+                for w in self.out[p[-1]]:
                     if w.shift <= y.shift:
                         stack.append(p + (w,))
             out.sort(key=lambda p: tuple(_vkey(v) for v in p))
@@ -314,7 +330,7 @@ def g_twist(paths, x, y, f):
     """Image of f in Hom(x, y) under the automorphism G of the window, moved
     path by path on a PathMeshCategory: G carries paths to paths and meshes
     to meshes."""
-    g = paths.model.g
+    g = paths.model.g_raw
     src, dst = paths.space(x, y), paths.space(g(x), g(y))
     vec = [0] * len(dst.paths)
     for c, col in zip(f, src.basis_cols):

@@ -483,6 +483,19 @@ def test_the_invariant_loops_count_every_failure(monkeypatch):
     )
 
 
+def test_serre_duality_reads_the_inverse_translate():
+    # ext is D Hom(Y, tau X); the check reads the other AR formula, D Hom(tau^-1
+    # Y, X), so a tau^-1 that disagrees with tau fails it
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    ar = model.ar
+    v = next(v for v in ar.vertices if v in ar.tau_inv)
+    ar.tau_inv[v] = v
+    report = VerificationReport("A3", 2)
+    check_derived_invariants(model, report)
+    checks = {name: (ok, details) for name, ok, details in report.checks}
+    assert checks["serre-duality"] == (False, "Ext^1(X,Y) = Hom(Y, tau X)")
+
+
 def test_a_localisation_of_the_wrong_size_fails_only_its_sweep(monkeypatch):
     check, short = verify.check_pair, []
 

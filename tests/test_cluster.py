@@ -130,6 +130,48 @@ def test_a_nonzero_far_orbit_term_raises(monkeypatch, t):
         CompatibilityGraph(model)
 
 
+def _first_near_term(model, t, gap):
+    """The first compatible pair (x, y) of the domain and the target
+    z = G^t(y)[k], 1 <= k <= m, that lies in degree deg x + gap."""
+    g = CompatibilityGraph(model)
+    for i, x in enumerate(g.nodes):
+        for j, y in enumerate(g.nodes):
+            if g.adj[i] >> j & 1:
+                w = model.g_raw(y, t)
+                for k in range(1, model.m + 1):
+                    if w.shift + k == x.shift + gap:
+                        return x, y, DVertex(w.module, w.shift + k)
+    raise AssertionError(f"no near term with t={t}, gap={gap}")
+
+
+@pytest.mark.parametrize("t,gap", [(-1, 0), (-1, 1), (0, 0), (0, 1), (1, 1)])
+def test_a_nonzero_near_orbit_term_is_read(monkeypatch, t, gap):
+    # one Hom(x, G^t(y)[k]) with |t| <= 1 read as nonzero breaks the edge
+    # (x, y) in one direction only, so duality cannot hide a term the
+    # bitmasks drop (A3 m=2 has no target with t = 1 in degree deg x)
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    x, y, z = _first_near_term(model, t, gap)
+    assert compatible(model)(x, y) and model.hom(x, z) == 0
+    hom = model.hom
+    monkeypatch.setattr(model, "hom", lambda a, b: 1 if (a, b) == (x, z) else hom(a, b))
+    assert not compatible(model)(x, y)
+    _assert_graph_matches_the_orbit_sums(model, f"A3 m=2, Hom({x}, {z}) = 1")
+
+
+def test_a_nonzero_self_term_is_read(monkeypatch):
+    # Hom(x, x[1]) read as nonzero makes x non-rigid; every Dynkin
+    # indecomposable is rigid, so no unpatched model tests the rigid bits
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    x = fundamental_domain(model)[0]
+    z = DVertex(x.module, x.shift + 1)
+    hom = model.hom
+    monkeypatch.setattr(model, "hom", lambda a, b: 1 if (a, b) == (x, z) else hom(a, b))
+    assert model.hom_orbit(x, x, 1)
+    g = CompatibilityGraph(model)
+    assert not g.rigid >> g.index[x] & 1
+    _assert_graph_matches_the_orbit_sums(model, f"A3 m=2, Hom({x}, {z}) = 1")
+
+
 COUNTS = [
     ("A2", 1, 5),
     ("A2", 2, 12),

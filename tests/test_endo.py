@@ -128,7 +128,7 @@ def test_factor_additivity_of_quotient(world):
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
                 sb, _ = _orbit_span(mod, a, b, [M])
-                assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g(b))
+                assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g_raw(b))
                 assert mat[i][j] + sb.rank == sb.width
 
 
@@ -176,7 +176,7 @@ def test_a_nonzero_g2_component_is_an_internal_error(monkeypatch):
     mod = DerivedModel(knit_module_category(preset("E6")), 1)
 
     def h1(x, y):
-        return mod.hom(x, mod.g(y))
+        return mod.hom(x, mod.g_raw(y))
 
     for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
         t = o.sorted_summands()

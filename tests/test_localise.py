@@ -2,15 +2,17 @@ import re
 
 import pytest
 
+from mcluster.arquiver import knit_module_category
 from mcluster.cluster import compatibility_graph, complements, enumerate_maximal_m_rigid
-from mcluster.derived import DVertex, _vkey
+from mcluster.derived import DerivedModel, DVertex, _vkey
+from mcluster.errors import InternalCheckError
 from mcluster.localise import (
     approximation_triangle,
     localise_object,
     perpendicular_algebra,
     project_to_D0,
 )
-from mcluster.quiver import dynkin_type
+from mcluster.quiver import dynkin_type, preset
 
 from oracles import in_D0
 
@@ -135,6 +137,31 @@ def test_project_preserves_fingerprint(world, name, m):
             for u in d0:
                 lhs = sum(c * mod.hom(v, u) for v, c in img.items())
                 assert lhs == mod.hom(w, u)
+
+
+def test_a_negative_fingerprint_solve_is_an_internal_error(monkeypatch):
+    # the support check has passed before the solve, so a negative
+    # multiplicity is a bug, not an object out of range
+    mod = DerivedModel(knit_module_category(preset("A3")), 1)
+    pd = perpendicular_algebra(mod, DVertex(mod.ar.vertices[0], 0))
+    for w in [DVertex(v, 0) for v in mod.ar.vertices]:
+        img = dict(project_to_D0(mod, w, pd))
+        pd.images.pop(w)
+        if not img:
+            continue
+        v = next(iter(img))
+        # a later unknown of the solve, which every term of the image misses
+        later = [DVertex(u, d) for d in (0, 1) for u in pd.U_members]
+        later = later[later.index(v) + 1 :]
+        u = next((u for u in later if not any(mod.hom(y, u) for y in img)), None)
+        if u is not None and mod.hom(w, u) == 0:
+            break
+    else:
+        raise AssertionError("no unknown to drive negative")
+    hom = mod.hom
+    monkeypatch.setattr(mod, "hom", lambda a, b: 1 if (a, b) == (v, u) else hom(a, b))
+    with pytest.raises(InternalCheckError, match=re.escape(f"went negative at {u}")):
+        project_to_D0(mod, w, pd)
 
 
 def test_approximation_triangle_a2(world):

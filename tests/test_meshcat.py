@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from mcluster.arquiver import knit_module_category
 from mcluster.derived import DerivedModel, DVertex
+from mcluster.errors import InternalCheckError
 from mcluster.linalg import SpanBuilder
 from mcluster.meshcat import MeshCategory
 from mcluster.quiver import preset
@@ -41,6 +43,22 @@ def test_a2_arrow_and_mesh_kill(world):
     sp = mesh.space(p2, s1)
     assert len(sp.zero()) == 1 and sp.relations.rank == 1
     assert mesh.compositions(p2, p1, s1) == [[]]
+
+
+@pytest.mark.parametrize("corrupt", ["injective", "non-projective"])
+def test_a_broken_mesh_is_an_internal_error(corrupt):
+    # the meshes repeat in every degree, so the mesh category checks each
+    # once per module: out of I(i) at P(i), out of tau z at any other z
+    ar = knit_module_category(preset("A3"))
+    if corrupt == "injective":
+        z = ar.projectives["2"]
+        ar.out[ar.injectives["2"]].append(ar.vertices[0])
+    else:
+        z = next(z for z in ar.vertices if z.projective_of is None)
+        ar.inn[z].append(ar.vertices[0])
+    model = DerivedModel(ar, 1)
+    with pytest.raises(InternalCheckError, match=re.escape(f"mesh mismatch at {z.name}")):
+        model.mesh_category()
 
 
 def test_compose_with_identity(world):
@@ -195,7 +213,7 @@ def test_g_carries_a_basis_onto_a_basis(world, name, m):
             if not (mod.contains(mod.g_raw(b)) and mod.contains(mod.g_raw(c))):
                 continue
             d = mesh.space(c, b).dim
-            assert mesh.space(mod.g(c), mod.g(b)).dim == d
+            assert mesh.space(mod.g_raw(c), mod.g_raw(b)).dim == d
             sb = SpanBuilder(d)
             for f in units(d):
                 sb.add(g_twist(paths, c, b, f))
