@@ -1,15 +1,17 @@
 """Endomorphism algebras of maximal m-rigid objects.
 
 A Hom space of the orbit category between domain objects splits into two
-window pieces, Hom(a, b) and Hom(a, Gb), and spans of composites are built
-blockwise from the mesh category's composition tables.  `endo_dims` reads
-the Hom dimensions between summands first: it opens a span only for a pair
-with a composite that can be nonzero, and it checks there that no composite
-has a G^2 component.  The Gabriel quiver
-comes from rad/rad^2 computed on explicit mesh bases, and the factor
-theorem compares the quotient by maps through a chosen summand with the
-endomorphism data of the localised object.  Both sides of that comparison
-are read off End(T), which is computed once per model and object.
+window pieces, Hom(a, b) and Hom(a, Gb), and `_orbit_compositions` is the
+one composition routine: the composites a -> c -> b in those two blocks,
+built from the mesh category's composition tables.  `endo_dims` reads the
+Hom dimensions between summands first: it opens a span only for a pair with
+a composite that can be nonzero, checks there that no composite has a G^2
+component, and composes a block only when its three Hom spaces are nonzero,
+so a zero leg is never knitted.  The Gabriel quiver comes from rad/rad^2
+computed on explicit mesh bases, and the factor theorem compares the
+quotient by maps through a chosen summand with the endomorphism data of
+the localised object.  Both sides of that comparison are read off End(T),
+which is computed once per model and object.
 """
 
 from __future__ import annotations
@@ -38,30 +40,52 @@ class EndoAlgebraData:
     total_dim: int
 
 
-def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
-    """Span in Hom_C(a, b) = Hom(a, b) + Hom(a, Gb) of the composites
-    a -> c -> b over c in mids, and the rank of those through each c alone,
-    keyed by c.
+def _orbit_compositions(model: DerivedModel, hom, a, c, b) -> list[list]:
+    """Rows of the composites a -> c -> b of basis maps, in the two-block
+    coordinates of Hom_C(a, b) = Hom(a, b) + Hom(a, Gb).
 
     Block 0 comes from a -> c -> b; block 1 from a -> c -> Gb and
     a -> Gc -> Gb.  G carries a basis of Hom(c, b) onto a basis of
-    Hom(Gc, Gb), so the span never twists a map by G.  The would-be G^2
-    block of a -> Gc -> G^2 b lives in a vanishing Hom space, which
-    `endo_dims` checks.
+    Hom(Gc, Gb), so no map is twisted by G.  The would-be G^2 block of
+    a -> Gc -> G^2 b lives in a vanishing Hom space, which `endo_dims`
+    checks.  A block is composed only when its three Hom spaces are nonzero,
+    their dimensions read from `hom(x, y)`: a zero leg or target makes every
+    composite of the block zero, so its spaces are never knitted.
     """
     mesh = model.mesh_category()
     gb = model.g_raw(b)
-    d0 = mesh.space(a, b).dim
-    d1 = mesh.space(a, gb).dim
-    sb = SpanBuilder(d0 + d1)
+    d0, d1 = hom(a, b), hom(a, gb)
+    ac, cb = hom(a, c), hom(c, b)
+    rows = []
+    if ac and cb and d0:
+        rows += [row + [0] * d1 for row in mesh.compositions(a, c, b)]
+    if d1:
+        if ac and hom(c, gb):
+            rows += [[0] * d0 + row for row in mesh.compositions(a, c, gb)]
+        gc = model.g_raw(c)
+        if cb and hom(a, gc):  # Hom(Gc, Gb) = Hom(c, b)
+            rows += [[0] * d0 + row for row in mesh.compositions(a, gc, gb)]
+    return rows
+
+
+def _orbit_span(model: DerivedModel, a, b, mids, hom) -> tuple[SpanBuilder, dict]:
+    """Span in Hom_C(a, b) of the composites a -> c -> b over c in mids, and
+    the rank of those through each c alone, keyed by c.
+
+    `hom(x, y)` gives the Hom dimensions: the width Hom(a, b) + Hom(a, Gb),
+    and the legs and targets that gate each block of each mid in
+    `_orbit_compositions`, so a block with a zero space is skipped unknitted.
+    With one mid, the rank through it is the rank of the span.
+    """
+    sb = SpanBuilder(hom(a, b) + hom(a, model.g_raw(b)))
+    if len(mids) == 1:
+        for row in _orbit_compositions(model, hom, a, mids[0], b):
+            sb.add(row)
+        return sb, {mids[0]: sb.rank}
     through = {}
     for c in mids:
-        gc = model.g_raw(c)
-        one = SpanBuilder(d0 + d1)
-        rows = [row + [0] * d1 for row in mesh.compositions(a, c, b)]
-        for row in mesh.compositions(a, c, gb) + mesh.compositions(a, gc, gb):
-            rows.append([0] * d0 + row)
-        for row in rows:
+        one = SpanBuilder(sb.width)
+        for row in _orbit_compositions(model, hom, a, c, b):
             sb.add(row)
             one.add(row)
         through[c] = one.rank
@@ -73,40 +97,54 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     the maps through each single summand of End(t); memoised per model.
 
     The Hom dimensions h0 = Hom(a, c) and h1 = Hom(a, Gc) between summands
-    are read once.  A summand c enters the span of a pair (a, b) only when
-    one of its three composite blocks can be nonzero, and a pair with no
-    such c needs no span: its composites are all zero.
+    are read once, and every span reads its dimensions from them.  A summand
+    c enters the span of a pair (a, b) only when one of its three composite
+    blocks can be nonzero, and a pair with no such c needs no span: its
+    composites are all zero.
     """
     order = tuple(sorted(t, key=_vkey))
-    memo = _endos.setdefault(model, {})
-    if order in memo:
-        return memo[order]
+    memo = _endos.get(model)
+    if memo is None:
+        memo = _endos[model] = {}
+    hit = memo.get(order)
+    if hit is not None:
+        return hit
     n = len(order)
     gs = [model.g_raw(c) for c in order]
     h0 = [[model.hom(a, c) for c in order] for a in order]
     h1 = [[model.hom(a, gc) for gc in gs] for a in order]
+    dims = {
+        (a, y): d
+        for a, r0, r1 in zip(order, h0, h1)
+        for y, d in zip((*order, *gs), r0 + r1)
+    }
+
+    def hom_dim(x, y):
+        return dims[x, y]
+
     hom = [[h0[i][j] + h1[i][j] for j in range(n)] for i in range(n)]
     radsq = [[0] * n for _ in range(n)]
     arrows = [[0] * n for _ in range(n)]
     through = [[(0,) * n] * n for _ in range(n)]
     for i, a in enumerate(order):
+        r0, r1 = h0[i], h1[i]
         for j, b in enumerate(order):
-            others = [k for k in range(n) if k != i and k != j]
-            if any(h1[i][k] and h1[k][j] for k in others) and model.hom(
-                a, model.g_raw(b, 2)
-            ):
+            mids, g2 = [], False
+            for k, c in enumerate(order):
+                if k == i or k == j:
+                    continue
+                c0, c1 = h0[k][j], h1[k][j]
+                if r0[k] and (c0 and r0[j] or c1 and r1[j]) or r1[k] and c0 and r1[j]:
+                    mids.append(c)
+                if r1[k] and c1:
+                    g2 = True
+            if g2 and model.hom(a, model.g_raw(b, 2)):
                 raise InternalCheckError("nonzero G^2 component in a composition")
-            mids = [
-                order[k]
-                for k in others
-                if h0[i][k] and (h0[k][j] and h0[i][j] or h1[k][j] and h1[i][j])
-                or h1[i][k] and h0[k][j] and h1[i][j]
-            ]
             rank = 0
             if mids:
-                sb, ranks = _orbit_span(model, a, b, mids)
+                sb, ranks = _orbit_span(model, a, b, mids, hom_dim)
                 through[i][j] = tuple(ranks.get(c, 0) for c in order)
-                hom[i][j], rank = sb.width, sb.rank
+                rank = sb.rank
             if i == j:
                 if hom[i][j] != 1:
                     raise InternalCheckError(
@@ -117,7 +155,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
                 continue
             radsq[i][j] = rank
             arrows[i][j] = hom[i][j] - rank
-    memo[order] = EndoAlgebraData(
+    data = memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),
         rad_sq_dims=tuple(tuple(r) for r in radsq),
@@ -125,7 +163,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
         through_dims=tuple(tuple(r) for r in through),
         total_dim=sum(sum(r) for r in hom),
     )
-    return memo[order]
+    return data
 
 
 def factor_dims(model: DerivedModel, t, M: DVertex):

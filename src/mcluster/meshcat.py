@@ -4,7 +4,9 @@ The translation quiver of D^b(mod H) glues shifted copies of the module
 AR-quiver with connecting arrows I(j)[t] -> P(i)[t+1] for every quiver arrow
 j -> i (rad P(j) is the sum of those P(i), as the connecting meshes need).
 Arrows and meshes repeat in every degree, so the category keeps the arrows
-into degrees 0 and 1 and checks each mesh once per module.
+into degrees 0 and 1 and checks each mesh once per module.  It leaves out
+the connecting arrows into degree 0: they start in degree -1, and every
+space is knitted from degree 0, which has no map to degree -1.
 
 Hom(x, -) is knitted across the meshes (Riedtmann 1980; Happel 1988): for
 z != x every map x -> z ends in an arrow mid -> z, and the mesh at z is the
@@ -71,7 +73,7 @@ class MeshCategory:
         self._model = weakref.ref(model)
         self._spaces: dict[tuple, HomSpace] = {}
         ar = model.ar
-        # the connecting arrows I(j)[-1] -> P(i)[0], one per quiver arrow j -> i
+        # the connecting arrows I(j)[t-1] -> P(i)[t], one per quiver arrow j -> i
         down = {p: [] for p in ar.projectives.values()}
         for j, i in ar.quiver.arrows:
             down[ar.projectives[i]].append(ar.injectives[j])
@@ -81,11 +83,13 @@ class MeshCategory:
             tz = ar.tau.get(z) or ar.injectives[z.projective_of]
             if set(ar.out[tz]) != set(down.get(z, ar.inn[z])):
                 raise InternalCheckError(f"mesh mismatch at {z.name}")
-        # the arrows into each vertex of degrees 0 and 1, in _vkey order
+        # the arrows into each vertex of degrees 0 and 1, in _vkey order; the
+        # connecting arrows into degree 0 start in degree -1, where no space
+        # knitted from degree 0 has a map, so only those into degree 1 are kept
         self._inn = {
             DVertex(z, d): sorted(
                 [DVertex(w, d) for w in ar.inn[z]]
-                + [DVertex(w, d - 1) for w in down.get(z, ())],
+                + [DVertex(w, 0) for w in down.get(z, ()) if d],
                 key=_vkey,
             )
             for d in (0, 1)

@@ -7,10 +7,12 @@ roots from a bounded brute force over the Tits form, D0 membership from
 window Hom dimensions, the mesh category is rebuilt as paths modulo the
 mesh ideal, the G-twist moves basis paths one by one, and the cluster
 predicates are read pair by pair off the orbit Hom sums, never off the
-compatibility graph's bitmasks.  The endomorphism-algebra references are
-the exception: they share the orbit span of `mcluster.endo`.  The End(T)
-reference opens a span for every pair of summands with every other summand
-as a mid, and so checks which spans `endo_dims` may skip; the
+compatibility graph's bitmasks.  The endomorphism-algebra references share
+only the mesh category's composition tables with `mcluster.endo`: their
+orbit span composes all three blocks of every mid straight from
+`compositions`, whatever the Hom dimensions say.  The End(T) reference
+opens a span for every pair of summands with every other summand as a mid,
+and so checks which spans and blocks `endo_dims` may skip; the
 factor-algebra references build a span afresh for every summand M, and so
 check how End(T)/(M) is read off End(T).
 """
@@ -20,7 +22,7 @@ from itertools import product
 
 from mcluster.cluster import fundamental_domain
 from mcluster.derived import DVertex, _vkey
-from mcluster.endo import EndoAlgebraData, _orbit_span
+from mcluster.endo import EndoAlgebraData
 from mcluster.linalg import SpanBuilder
 from mcluster.quiver import Quiver, tits_form
 
@@ -341,6 +343,27 @@ def g_twist(paths, x, y, f):
 # --- End(T) and factor algebras End(T)/(M) from unpruned spans -------------
 
 
+def orbit_span(model, a, b, mids):
+    """Span in Hom_C(a, b) = Hom(a, b) + Hom(a, Gb) of every composite
+    a -> c -> b over c in mids, and the rank of those through each c alone:
+    a -> c -> b in the first block, a -> c -> Gb and a -> Gc -> Gb in the
+    second, each table taken whole, zero legs included."""
+    mesh, g = model.mesh_category(), model.g_raw
+    d0, d1 = mesh.space(a, b).dim, mesh.space(a, g(b)).dim
+    sb = SpanBuilder(d0 + d1)
+    through = {}
+    for c in mids:
+        one = SpanBuilder(d0 + d1)
+        rows = [row + [0] * d1 for row in mesh.compositions(a, c, b)]
+        rows += [[0] * d0 + row for row in mesh.compositions(a, c, g(b))]
+        rows += [[0] * d0 + row for row in mesh.compositions(a, g(c), g(b))]
+        for row in rows:
+            sb.add(row)
+            one.add(row)
+        through[c] = one.rank
+    return sb, through
+
+
 def endo_dims(model, t):
     """End(t) with one span per ordered pair of summands, every other summand
     a mid of it."""
@@ -352,7 +375,7 @@ def endo_dims(model, t):
     through = [[()] * n for _ in range(n)]
     for i, a in enumerate(order):
         for j, b in enumerate(order):
-            sb, ranks = _orbit_span(model, a, b, [c for c in order if c != a and c != b])
+            sb, ranks = orbit_span(model, a, b, [c for c in order if c != a and c != b])
             through[i][j] = tuple(ranks.get(c, 0) for c in order)
             hom[i][j] = sb.width
             if i != j:
@@ -368,7 +391,6 @@ def endo_dims(model, t):
     )
 
 
-
 def factor_dims(model, t, M):
     """Dimension matrix of End(t)/(M): for summands a, b != M, dim Hom_C(a, b)
     minus the rank of the composites a -> M -> b."""
@@ -377,7 +399,7 @@ def factor_dims(model, t, M):
     for a in order:
         row = []
         for b in order:
-            sb, _ = _orbit_span(model, a, b, [M])
+            sb, _ = orbit_span(model, a, b, [M])
             row.append(sb.width - sb.rank)
         out.append(tuple(row))
     return tuple(out)
@@ -396,7 +418,7 @@ def factor_arrows(model, t, M):
                 row.append(0)
                 continue
             mids = [c for c in order if c != a and c != b] + [M]
-            sb, _ = _orbit_span(model, a, b, mids)
+            sb, _ = orbit_span(model, a, b, mids)
             row.append(sb.width - sb.rank)
         out.append(tuple(row))
     return tuple(out)

@@ -8,6 +8,7 @@ from mcluster.cluster import compatibility_graph, enumerate_maximal_m_rigid
 from mcluster.derived import DerivedModel, DVertex, _vkey
 from mcluster.endo import endo_dims, factor_dims, verify_factor_theorem
 from mcluster.errors import InternalCheckError
+from mcluster.meshcat import MeshCategory
 from mcluster.quiver import preset
 
 import oracles
@@ -122,12 +123,16 @@ def test_factor_additivity_of_quotient(world):
     g = compatibility_graph(mod)
     o = enumerate_maximal_m_rigid(g)[0]
     order = sorted(o.summands, key=lambda v: v.name())
+
+    def mesh_dim(x, y):  # the span's width, read off the knitted bases
+        return mod.mesh_category().space(x, y).dim
+
     for M in order:
         rest = [v for v in order if v != M]
         mat = factor_dims(mod, o.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                sb, _ = _orbit_span(mod, a, b, [M])
+                sb, _ = _orbit_span(mod, a, b, [M], mesh_dim)
                 assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g_raw(b))
                 assert mat[i][j] + sb.rank == sb.width
 
@@ -167,6 +172,28 @@ def test_skipped_spans_change_no_field_of_end_t(world, name, m):
     mod = world(name, m)
     for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
         assert endo_dims(mod, o.summands) == oracles.endo_dims(mod, o.summands), o.name()
+
+
+@pytest.mark.parametrize("name,m", [("E6", 1), ("D5", 2)])
+def test_end_t_composes_no_zero_block(monkeypatch, name, m):
+    # a block is composed only when its three Hom spaces are nonzero, so no
+    # composition table End(T) asks for is empty or has zero-width rows
+    compositions = MeshCategory.compositions
+    calls, zero = [], []
+
+    def checked(self, x, y, z):
+        rows = compositions(self, x, y, z)
+        calls.append((x, y, z))
+        if not rows or not all(rows):
+            zero.append((x, y, z))
+        return rows
+
+    monkeypatch.setattr(MeshCategory, "compositions", checked)
+    mod = DerivedModel(knit_module_category(preset(name)), m)
+    for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
+        endo_dims(mod, o.summands)
+    assert calls
+    assert not zero, zero[:5]
 
 
 def test_a_nonzero_g2_component_is_an_internal_error(monkeypatch):
