@@ -40,7 +40,7 @@ class EndoAlgebraData:
     total_dim: int
 
 
-def _orbit_compositions(model: DerivedModel, hom, a, c, b) -> list[list]:
+def _orbit_compositions(model: DerivedModel, a, c, b) -> list[list]:
     """Rows of the composites a -> c -> b of basis maps, in the two-block
     coordinates of Hom_C(a, b) = Hom(a, b) + Hom(a, Gb).
 
@@ -48,44 +48,39 @@ def _orbit_compositions(model: DerivedModel, hom, a, c, b) -> list[list]:
     a -> Gc -> Gb.  G carries a basis of Hom(c, b) onto a basis of
     Hom(Gc, Gb), so no map is twisted by G.  The would-be G^2 block of
     a -> Gc -> G^2 b lives in a vanishing Hom space, which `endo_dims`
-    checks.  A block is composed only when its three Hom spaces are nonzero,
-    their dimensions read from `hom(x, y)`: a zero leg or target makes every
-    composite of the block zero, so its spaces are never knitted.
+    checks.  A block is composed only when its three Hom spaces are nonzero
+    by `model.hom`: a zero leg or target makes every composite of the block
+    zero, so its spaces are never knitted.
     """
     mesh = model.mesh_category()
     gb = model.g_raw(b)
-    d0, d1 = hom(a, b), hom(a, gb)
-    ac, cb = hom(a, c), hom(c, b)
+    d0, d1 = model.hom(a, b), model.hom(a, gb)
+    ac, cb = model.hom(a, c), model.hom(c, b)
     rows = []
     if ac and cb and d0:
         rows += [row + [0] * d1 for row in mesh.compositions(a, c, b)]
     if d1:
-        if ac and hom(c, gb):
+        if ac and model.hom(c, gb):
             rows += [[0] * d0 + row for row in mesh.compositions(a, c, gb)]
         gc = model.g_raw(c)
-        if cb and hom(a, gc):  # Hom(Gc, Gb) = Hom(c, b)
+        if cb and model.hom(a, gc):  # Hom(Gc, Gb) = Hom(c, b)
             rows += [[0] * d0 + row for row in mesh.compositions(a, gc, gb)]
     return rows
 
 
-def _orbit_span(model: DerivedModel, a, b, mids, hom) -> tuple[SpanBuilder, dict]:
+def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
     """Span in Hom_C(a, b) of the composites a -> c -> b over c in mids, and
     the rank of those through each c alone, keyed by c.
 
-    `hom(x, y)` gives the Hom dimensions: the width Hom(a, b) + Hom(a, Gb),
-    and the legs and targets that gate each block of each mid in
-    `_orbit_compositions`, so a block with a zero space is skipped unknitted.
-    With one mid, the rank through it is the rank of the span.
+    The width Hom(a, b) + Hom(a, Gb) is read from `model.hom`, and each mid
+    is composed by `_orbit_compositions`, which skips a block with a zero
+    Hom space unknitted.
     """
-    sb = SpanBuilder(hom(a, b) + hom(a, model.g_raw(b)))
-    if len(mids) == 1:
-        for row in _orbit_compositions(model, hom, a, mids[0], b):
-            sb.add(row)
-        return sb, {mids[0]: sb.rank}
+    sb = SpanBuilder(model.hom(a, b) + model.hom(a, model.g_raw(b)))
     through = {}
     for c in mids:
         one = SpanBuilder(sb.width)
-        for row in _orbit_compositions(model, hom, a, c, b):
+        for row in _orbit_compositions(model, a, c, b):
             sb.add(row)
             one.add(row)
         through[c] = one.rank
@@ -97,31 +92,18 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     the maps through each single summand of End(t); memoised per model.
 
     The Hom dimensions h0 = Hom(a, c) and h1 = Hom(a, Gc) between summands
-    are read once, and every span reads its dimensions from them.  A summand
-    c enters the span of a pair (a, b) only when one of its three composite
-    blocks can be nonzero, and a pair with no such c needs no span: its
-    composites are all zero.
+    are read once.  A summand c enters the span of a pair (a, b) only when
+    one of its three composite blocks can be nonzero, and a pair with no
+    such c needs no span: its composites are all zero.
     """
     order = tuple(sorted(t, key=_vkey))
-    memo = _endos.get(model)
-    if memo is None:
-        memo = _endos[model] = {}
-    hit = memo.get(order)
-    if hit is not None:
-        return hit
+    memo = _endos.setdefault(model, {})
+    if order in memo:
+        return memo[order]
     n = len(order)
     gs = [model.g_raw(c) for c in order]
     h0 = [[model.hom(a, c) for c in order] for a in order]
     h1 = [[model.hom(a, gc) for gc in gs] for a in order]
-    dims = {
-        (a, y): d
-        for a, r0, r1 in zip(order, h0, h1)
-        for y, d in zip((*order, *gs), r0 + r1)
-    }
-
-    def hom_dim(x, y):
-        return dims[x, y]
-
     hom = [[h0[i][j] + h1[i][j] for j in range(n)] for i in range(n)]
     radsq = [[0] * n for _ in range(n)]
     arrows = [[0] * n for _ in range(n)]
@@ -142,7 +124,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
                 raise InternalCheckError("nonzero G^2 component in a composition")
             rank = 0
             if mids:
-                sb, ranks = _orbit_span(model, a, b, mids, hom_dim)
+                sb, ranks = _orbit_span(model, a, b, mids)
                 through[i][j] = tuple(ranks.get(c, 0) for c in order)
                 rank = sb.rank
             if i == j:
@@ -155,7 +137,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
                 continue
             radsq[i][j] = rank
             arrows[i][j] = hom[i][j] - rank
-    data = memo[order] = EndoAlgebraData(
+    memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),
         rad_sq_dims=tuple(tuple(r) for r in radsq),
@@ -163,7 +145,7 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
         through_dims=tuple(tuple(r) for r in through),
         total_dim=sum(sum(r) for r in hom),
     )
-    return data
+    return memo[order]
 
 
 def factor_dims(model: DerivedModel, t, M: DVertex):

@@ -123,16 +123,12 @@ def test_factor_additivity_of_quotient(world):
     g = compatibility_graph(mod)
     o = enumerate_maximal_m_rigid(g)[0]
     order = sorted(o.summands, key=lambda v: v.name())
-
-    def mesh_dim(x, y):  # the span's width, read off the knitted bases
-        return mod.mesh_category().space(x, y).dim
-
     for M in order:
         rest = [v for v in order if v != M]
         mat = factor_dims(mod, o.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                sb, _ = _orbit_span(mod, a, b, [M], mesh_dim)
+                sb, _ = _orbit_span(mod, a, b, [M])
                 assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g_raw(b))
                 assert mat[i][j] + sb.rank == sb.width
 
