@@ -1,17 +1,23 @@
 """Endomorphism algebras of maximal m-rigid objects.
 
 A Hom space of the orbit category between domain objects splits into two
-window pieces, Hom(a, b) and Hom(a, Gb), and `_orbit_compositions` is the
-one composition routine: the composites a -> c -> b in those two blocks,
-built from the mesh category's composition tables.  `endo_dims` reads the
-Hom dimensions between summands first: it opens a span only for a pair with
-a composite that can be nonzero, checks there that no composite has a G^2
-component, and composes a block only when its three Hom spaces are nonzero,
-so a zero leg is never knitted.  The Gabriel quiver comes from rad/rad^2
-computed on explicit mesh bases, and the factor theorem compares the
-quotient by maps through a chosen summand with the endomorphism data of
-the localised object.  Both sides of that comparison are read off End(T),
-which is computed once per model and object.
+window pieces, Hom_C(a, b) = Hom(a, b) + Hom(a, Gb).  Between two summands
+of a maximal object it has dimension 0 or 1, and never two nonzero blocks;
+`endo_dims` checks this and raises `InternalCheckError` otherwise.  So
+End(T) is a 0/1 algebra: the composite a -> c -> b of basis maps is 0 or
++-1 times the basis map of Hom_C(a, b), and one bit says which.  The bit
+comes from the one block whose three Hom spaces are nonzero, a -> c -> b,
+a -> c -> Gb or a -> Gc -> Gb (G carries a basis of Hom(c, b) onto one of
+Hom(Gc, Gb), so no map is twisted by G), as the single entry of the mesh
+category's composition table.  It depends only on the modules of a, c and
+b and on the degree gaps c - a and b - a, since G commutes with the shift,
+and it is cached per model under that key.
+
+rad^2(a, b) is the OR of the bits over the other summands c, the Gabriel
+arrows are Hom_C minus rad^2, and the maps through one summand are its
+bit.  The factor theorem compares the quotient by maps through a chosen
+summand with the endomorphism data of the localised object; both sides are
+read off End(T), which is computed once per model and object.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from dataclasses import dataclass
 
 from .derived import DerivedModel, DVertex, _vkey
 from .errors import InternalCheckError
-from .linalg import SpanBuilder
 from .localise import LocalisedObject, localise_object, project_to_D0
 
-# End(T) per model, keyed by the summands of T in _vkey order
+# per model: End(T) keyed by the summands of T in _vkey order, and the
+# composite bits keyed by (modules of a, c, b, gap c - a, gap b - a)
 _endos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -40,103 +46,74 @@ class EndoAlgebraData:
     total_dim: int
 
 
-def _orbit_compositions(model: DerivedModel, a, c, b) -> list[list]:
-    """Rows of the composites a -> c -> b of basis maps, in the two-block
-    coordinates of Hom_C(a, b) = Hom(a, b) + Hom(a, Gb).
+def _composite(model: DerivedModel, a, c, b) -> int:
+    """1 if the composite a -> c -> b of basis maps is nonzero in Hom_C(a, b),
+    else 0, for a, c, b with Hom_C of dimension <= 1 and one nonzero block.
 
-    Block 0 comes from a -> c -> b; block 1 from a -> c -> Gb and
-    a -> Gc -> Gb.  G carries a basis of Hom(c, b) onto a basis of
-    Hom(Gc, Gb), so no map is twisted by G.  The would-be G^2 block of
-    a -> Gc -> G^2 b lives in a vanishing Hom space, which `endo_dims`
-    checks.  A block is composed only when its three Hom spaces are nonzero
-    by `model.hom`: a zero leg or target makes every composite of the block
-    zero, so its spaces are never knitted.
+    Only the block whose three Hom spaces are nonzero can compose to a
+    nonzero map.  The would-be G^2 block a -> Gc -> G^2 b lives in a
+    vanishing Hom space, which is checked here.
     """
-    mesh = model.mesh_category()
-    gb = model.g_raw(b)
-    d0, d1 = model.hom(a, b), model.hom(a, gb)
-    ac, cb = model.hom(a, c), model.hom(c, b)
-    rows = []
-    if ac and cb and d0:
-        rows += [row + [0] * d1 for row in mesh.compositions(a, c, b)]
-    if d1:
-        if ac and model.hom(c, gb):
-            rows += [[0] * d0 + row for row in mesh.compositions(a, c, gb)]
-        gc = model.g_raw(c)
-        if cb and model.hom(a, gc):  # Hom(Gc, Gb) = Hom(c, b)
-            rows += [[0] * d0 + row for row in mesh.compositions(a, gc, gb)]
-    return rows
-
-
-def _orbit_span(model: DerivedModel, a, b, mids) -> tuple[SpanBuilder, dict]:
-    """Span in Hom_C(a, b) of the composites a -> c -> b over c in mids, and
-    the rank of those through each c alone, keyed by c.
-
-    The width Hom(a, b) + Hom(a, Gb) is read from `model.hom`, and each mid
-    is composed by `_orbit_compositions`, which skips a block with a zero
-    Hom space unknitted.
-    """
-    sb = SpanBuilder(model.hom(a, b) + model.hom(a, model.g_raw(b)))
-    through = {}
-    for c in mids:
-        one = SpanBuilder(sb.width)
-        for row in _orbit_compositions(model, a, c, b):
-            sb.add(row)
-            one.add(row)
-        through[c] = one.rank
-    return sb, through
+    hom, gc, gb = model.hom, model.g_raw(c), model.g_raw(b)
+    if hom(a, gc) and hom(c, gb) and hom(a, model.g_raw(b, 2)):
+        raise InternalCheckError("nonzero G^2 component in a composition")
+    for x, y, z in ((a, c, b), (a, c, gb), (a, gc, gb)):
+        if hom(x, y) and hom(y, z) and hom(x, z):
+            [[coord]] = model.mesh_category().compositions(x, y, z)
+            if coord not in (0, 1, -1):
+                raise InternalCheckError(
+                    f"composite {x} -> {y} -> {z} has coordinate {coord}, not 0 or +-1"
+                )
+            return int(coord != 0)
+    return 0
 
 
 def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     """Hom matrix, rad^2 matrix, Gabriel arrow counts and the dimensions of
     the maps through each single summand of End(t); memoised per model.
 
-    The Hom dimensions h0 = Hom(a, c) and h1 = Hom(a, Gc) between summands
-    are read once.  A summand c enters the span of a pair (a, b) only when
-    one of its three composite blocks can be nonzero, and a pair with no
-    such c needs no span: its composites are all zero.
+    The Hom_C dimensions between summands are read and checked first; a bit
+    is read only for a, c, b with Hom_C(a, c) and Hom_C(c, b) nonzero.
     """
     order = tuple(sorted(t, key=_vkey))
-    memo = _endos.setdefault(model, {})
+    memo, bits = _endos.setdefault(model, ({}, {}))
     if order in memo:
         return memo[order]
     n = len(order)
-    gs = [model.g_raw(c) for c in order]
-    h0 = [[model.hom(a, c) for c in order] for a in order]
-    h1 = [[model.hom(a, gc) for gc in gs] for a in order]
-    hom = [[h0[i][j] + h1[i][j] for j in range(n)] for i in range(n)]
+    gs = [model.g_raw(b) for b in order]
+    hom = []
+    for a in order:
+        row = []
+        for b, gb in zip(order, gs):
+            d0, d1 = model.hom(a, b), model.hom(a, gb)
+            if a == b:
+                if d0 + d1 != 1:
+                    raise InternalCheckError(f"End({a}) has dimension {d0 + d1}, expected 1")
+            elif d0 and d1:
+                raise InternalCheckError(f"both blocks of Hom_C({a}, {b}) are nonzero")
+            elif d0 + d1 > 1:
+                raise InternalCheckError(f"Hom_C({a}, {b}) has dimension {d0 + d1}, above 1")
+            row.append(d0 + d1)
+        hom.append(row)
+    zero = (0,) * n
     radsq = [[0] * n for _ in range(n)]
-    arrows = [[0] * n for _ in range(n)]
-    through = [[(0,) * n] * n for _ in range(n)]
+    through = [[zero] * n for _ in range(n)]
     for i, a in enumerate(order):
-        r0, r1 = h0[i], h1[i]
         for j, b in enumerate(order):
-            mids, g2 = [], False
+            row = [0] * n
             for k, c in enumerate(order):
-                if k == i or k == j:
-                    continue
-                c0, c1 = h0[k][j], h1[k][j]
-                if r0[k] and (c0 and r0[j] or c1 and r1[j]) or r1[k] and c0 and r1[j]:
-                    mids.append(c)
-                if r1[k] and c1:
-                    g2 = True
-            if g2 and model.hom(a, model.g_raw(b, 2)):
-                raise InternalCheckError("nonzero G^2 component in a composition")
-            rank = 0
-            if mids:
-                sb, ranks = _orbit_span(model, a, b, mids)
-                through[i][j] = tuple(ranks.get(c, 0) for c in order)
-                rank = sb.rank
-            if i == j:
-                if hom[i][j] != 1:
-                    raise InternalCheckError(
-                        f"End({a}) has dimension {hom[i][j]}, expected 1"
-                    )
-                if rank:
+                if k != i and k != j and hom[i][k] and hom[k][j]:
+                    key = (a.module, c.module, b.module, c.shift - a.shift, b.shift - a.shift)
+                    bit = bits.get(key)
+                    if bit is None:
+                        bit = bits[key] = _composite(model, a, c, b)
+                    row[k] = bit
+            if any(row):
+                if i == j:
                     raise InternalCheckError("nonzero radical square on the diagonal")
-                continue
-            radsq[i][j] = rank
-            arrows[i][j] = hom[i][j] - rank
+                radsq[i][j] = 1
+                through[i][j] = tuple(row)
+    arrows = [[hom[i][j] - radsq[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
     memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),

@@ -119,8 +119,10 @@ class MeshCategory:
                 offset[mid] = len(cols)
                 cols += [(mid, k) for k in range(self.space(x, mid).dim)]
             rel = SpanBuilder(len(cols))
+            # one relation per basis map x -> tau y, counted by the hammocks, so
+            # the empty space at tau P(i)[0] = I(i)[-1] is never knitted
             ty = model.tau_raw(y)
-            for f in _units(self.space(x, ty).dim):
+            for f in _units(model.hom(x, ty)):
                 rel.add([c for mid in mids for c in self._push(x, ty, mid, f)])
             sp = HomSpace(cols, offset, rel)
         expected = model.hom(x, y)

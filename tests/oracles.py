@@ -10,11 +10,12 @@ predicates are read pair by pair off the orbit Hom sums, never off the
 compatibility graph's bitmasks.  The endomorphism-algebra references share
 only the mesh category's composition tables with `mcluster.endo`: their
 orbit span composes all three blocks of every mid straight from
-`compositions`, whatever the Hom dimensions say.  The End(T) reference
-opens a span for every pair of summands with every other summand as a mid,
-and so checks which spans and blocks `endo_dims` may skip; the
-factor-algebra references build a span afresh for every summand M, and so
-check how End(T)/(M) is read off End(T).
+`compositions`, whatever the Hom dimensions say, and row-reduces them.
+The End(T) reference opens a span for every pair of summands with every
+other summand as a mid and reads no composite bit, and so checks the 0/1
+reading of `endo_dims` and the triples it skips; the factor-algebra
+references build a span afresh for every summand M, and so check how
+End(T)/(M) is read off End(T).
 """
 
 from fractions import Fraction

@@ -432,13 +432,15 @@ def test_separately_built_models_share_no_h_prime_model():
 
 
 def test_layer_caches_release_the_model():
-    # graphs, perpendicular data with their vertex images and the End(T)
-    # memo are cached weakly in the model, and no model sits on a reference
-    # cycle, so a dropped model is freed on its last reference together with
-    # the H' models built from it, without the cyclic collector
+    # graphs, perpendicular data with their vertex images, and the End(T)
+    # memo with its composite bits are cached weakly in the model, and no
+    # model sits on a reference cycle, so a dropped model is freed on its
+    # last reference together with the H' models built from it, without the
+    # cyclic collector
     enabled = gc.isenabled()
     gc.disable()
     try:
+        held = len(endo._endos)
         model = DerivedModel(knit_module_category(preset("D4")), 1)
         g = compatibility_graph(model)
         refs = [weakref.ref(model)]
@@ -446,6 +448,7 @@ def test_layer_caches_release_the_model():
             M = min(o.summands, key=_vkey)
             rep = verify_factor_theorem(model, o.summands, M)
             assert model in endo._endos and rep.localised.pd.images
+        assert all(endo._endos[model])  # End(T) memo and bits both filled
         for v in model.ar.vertices:
             pd = perpendicular_algebra(model, DVertex(v, 0))
             compatibility_graph(pd.prime_model)
@@ -454,6 +457,7 @@ def test_layer_caches_release_the_model():
         del model, g, o, pd, rep
         alive = [r() for r in refs if r() is not None]
         assert not alive, f"{len(alive)} of {len(refs)} models outlive their last reference"
+        assert len(endo._endos) == held  # their memos and bits went with them
     finally:
         if enabled:
             gc.enable()

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -117,8 +118,6 @@ def test_factor_theorem_sweep(world, name, m):
 
 def test_factor_additivity_of_quotient(world):
     # quotient dims plus the through-M contribution recover the Hom matrix
-    from mcluster.endo import _orbit_span
-
     mod = world("A3", 1)
     g = compatibility_graph(mod)
     o = enumerate_maximal_m_rigid(g)[0]
@@ -128,41 +127,96 @@ def test_factor_additivity_of_quotient(world):
         mat = factor_dims(mod, o.summands, M)
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
-                sb, _ = _orbit_span(mod, a, b, [M])
+                sb, _ = oracles.orbit_span(mod, a, b, [M])
                 assert sb.width == mod.hom(a, b) + mod.hom(a, mod.g_raw(b))
                 assert mat[i][j] + sb.rank == sb.width
 
 
 def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
-    # End(T) is built once per object, with at most one span per ordered
-    # pair of summands; the factor algebra at a second summand, and the
-    # whole factor theorem there, build no further span over T's model
-    spans = []
-    orbit_span = endo._orbit_span
+    # End(T) is built once per object, with at most one composite bit per
+    # triple of summands; the factor algebra at a second summand, and the
+    # whole factor theorem there, compute no further bit over T's model
+    bits = []
+    composite = endo._composite
 
     def counted(model, *args):
-        spans.append(model)
-        return orbit_span(model, *args)
+        bits.append(model)
+        return composite(model, *args)
 
-    monkeypatch.setattr(endo, "_orbit_span", counted)
+    monkeypatch.setattr(endo, "_composite", counted)
     mod = DerivedModel(knit_module_category(preset("A3")), 1)
     o = enumerate_maximal_m_rigid(compatibility_graph(mod))[0]
     t = o.summands
     first, second = sorted(t, key=_vkey)[:2]
 
-    def built():
-        return sum(model is mod for model in spans)
+    def computed():
+        return sum(model is mod for model in bits)
 
     verify_factor_theorem(mod, t, first)
-    spans_of_t = built()
-    assert 0 < spans_of_t <= len(t) ** 2
+    bits_of_t = computed()
+    assert 0 < bits_of_t <= len(t) ** 3
     factor_dims(mod, t, second)
     verify_factor_theorem(mod, t, second)
-    assert built() == spans_of_t
+    assert computed() == bits_of_t
+
+
+def _chain(world):
+    """The shared A3 m=1 model and its object 001[0] + 011[0] + 111[0]."""
+    shared = world("A3", 1)
+    name = "001[0] + 011[0] + 111[0]"
+    return shared, next(
+        o for o in enumerate_maximal_m_rigid(compatibility_graph(shared)) if o.name() == name
+    )
+
+
+def test_end_t_reads_the_composite_not_the_dimensions(world, monkeypatch):
+    # no composite of summands with three nonzero Hom spaces was ever seen to
+    # vanish, so one is forced to zero here: End(T) must follow the
+    # composition table, as the span oracle does, not the Hom dimensions
+    shared, o = _chain(world)
+    a, c, b = o.sorted_summands()
+    assert shared.hom(a, c) and shared.hom(c, b) and shared.hom(a, b)
+    assert endo_dims(shared, o.summands).rad_sq_dims[0][2] == 1
+    compositions = MeshCategory.compositions
+
+    def vanishing(self, x, y, z):
+        return [[0]] if (x, y, z) == (a, c, b) else compositions(self, x, y, z)
+
+    monkeypatch.setattr(MeshCategory, "compositions", vanishing)
+    mod = DerivedModel(shared.ar, 1)  # the same vertices, no cached bits
+    ed = endo_dims(mod, o.summands)
+    assert ed.rad_sq_dims[0][2] == 0
+    assert ed == oracles.endo_dims(mod, o.summands)
+
+
+@pytest.mark.parametrize("broken", ["wide", "two blocks", "coordinate"])
+def test_end_t_outside_the_0_1_claim_is_an_internal_error(world, monkeypatch, broken):
+    # End(T) is read as a 0/1 algebra; a Hom_C of dimension 2 between
+    # summands, two nonzero blocks or a composite of coordinate 2 breaks that
+    shared, o = _chain(world)
+    a, c, b = o.sorted_summands()
+    mod = DerivedModel(shared.ar, 1)
+    hom, compositions = mod.hom, MeshCategory.compositions
+    if broken == "wide":
+        monkeypatch.setattr(mod, "hom", lambda x, y: 2 if (x, y) == (a, b) else hom(x, y))
+        match = f"Hom_C({a}, {b}) has dimension 2, above 1"
+    elif broken == "two blocks":
+        gb = mod.g_raw(b)
+        monkeypatch.setattr(mod, "hom", lambda x, y: 1 if (x, y) == (a, gb) else hom(x, y))
+        match = f"both blocks of Hom_C({a}, {b}) are nonzero"
+    else:
+        monkeypatch.setattr(
+            MeshCategory, "compositions",
+            lambda self, x, y, z: [[2]] if (x, y, z) == (a, c, b) else compositions(self, x, y, z),
+        )
+        match = "has coordinate 2, not 0 or +-1"
+    with pytest.raises(InternalCheckError, match=re.escape(match)):
+        endo_dims(mod, o.summands)
 
 
 @pytest.mark.parametrize(
-    "name,m", [("A3", 1), ("A3", 2), ("D4", 1), ("D4", 2), ("A4", 2), ("D5", 1)]
+    "name,m",
+    [("A3", 1), ("A3", 2), ("D4", 1), ("D4", 2), ("A4", 2), ("D5", 1), ("E6", 1), ("D5", 2)],
 )
 def test_skipped_spans_change_no_field_of_end_t(world, name, m):
     mod = world(name, m)

@@ -103,14 +103,17 @@ def test_shifted_copies_are_one_space(world, name, m):
 
 
 def test_one_cached_space_per_module_pair_and_gap():
-    # D4 m=1 knits 332 distinct (module, module, gap): 288 of gap 0 or 1, and
-    # 44 of gap -1 for the mesh relations at the projectives; one space per
-    # window pair, knitted in its own degree, made 2475
+    # D4 m=1 knits 288 distinct (module, module, gap), all of gap 0 or 1: the
+    # mesh relations at the projectives count their rows by the hammocks and
+    # knit no empty space of gap -1 (44 more before); one space per window
+    # pair, knitted in its own degree, made 2475
     from mcluster.verify import VerificationReport, check_derived_invariants
 
     mod = DerivedModel(knit_module_category(preset("D4")), 1)
     check_derived_invariants(mod, VerificationReport("D4", 1))
-    assert len(mod.mesh_category()._spaces) == 332
+    spaces = mod.mesh_category()._spaces
+    assert len(spaces) == 288
+    assert {gap for _, _, gap in spaces} == {0, 1}
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
@@ -201,7 +204,7 @@ def test_compositions_match_the_path_oracle(world, name, m):
 
 @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1)])
 def test_g_carries_a_basis_onto_a_basis(world, name, m):
-    # _orbit_compositions in endo reads Hom(Gc, Gb) off its own basis on this fact;
+    # the composite bits of endo read Hom(Gc, Gb) off its own basis on this fact;
     # G moves basis paths of the path oracle one by one
     from mcluster.cluster import fundamental_domain
 
