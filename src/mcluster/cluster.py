@@ -283,7 +283,7 @@ def normalize_to_Dminus(model: DerivedModel, t) -> NormalizedObject:
 
     Kept only for the `local-factor` pass of the layer benchmark
     (`benchmarks/workloads.py`), which reads `.world`, `.summands` and
-    `.mapping`; ROADMAP item 2 deletes it together with that call.
+    `.mapping`; ROADMAP item 5 deletes it together with that call.
     """
     t = frozenset(t)
     return NormalizedObject(world=model, summands=t, mapping={v: v for v in t})

@@ -13,11 +13,12 @@ category's composition table.  It depends only on the modules of a, c and
 b and on the degree gaps c - a and b - a, since G commutes with the shift,
 and it is cached per model under that key.
 
-rad^2(a, b) is the OR of the bits over the other summands c, the Gabriel
-arrows are Hom_C minus rad^2, and the maps through one summand are its
-bit.  The factor theorem compares the quotient by maps through a chosen
-summand with the endomorphism data of the localised object; both sides are
-read off End(T), which is computed once per model and object.
+rad^2(a, b) is the OR of the bits over the other summands c, and the
+Gabriel arrows are Hom_C minus rad^2; End(T) keeps only its Hom table and
+arrows.  The factor theorem compares the quotient by maps through a chosen
+summand, read from the cached bits, with the endomorphism data of the
+localised object; both sides are read off End(T), which is computed once
+per model and object.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ _endos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class EndoAlgebraData:
     summands: tuple[DVertex, ...]
     hom_dims: tuple[tuple[int, ...], ...]
-    rad_sq_dims: tuple[tuple[int, ...], ...]
+    # Hom_C minus rad^2 off the diagonal, 0 on it
     arrows: tuple[tuple[int, ...], ...]
-    # [i][j][k]: dim of the maps summand i -> summand j through summand k,
-    # for k not in {i, j} (0 there)
-    through_dims: tuple[tuple[tuple[int, ...], ...], ...]
     total_dim: int
 
 
@@ -68,9 +66,12 @@ def _composite(model: DerivedModel, a, c, b) -> int:
     return 0
 
 
+def _bit_key(a, c, b):
+    return a.module, c.module, b.module, c.shift - a.shift, b.shift - a.shift
+
+
 def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
-    """Hom matrix, rad^2 matrix, Gabriel arrow counts and the dimensions of
-    the maps through each single summand of End(t); memoised per model.
+    """Hom matrix and Gabriel arrow counts of End(t); memoised per model.
 
     The Hom_C dimensions between summands are read and checked first; a bit
     is read only for a, c, b with Hom_C(a, c) and Hom_C(c, b) nonzero.
@@ -95,44 +96,43 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
                 raise InternalCheckError(f"Hom_C({a}, {b}) has dimension {d0 + d1}, above 1")
             row.append(d0 + d1)
         hom.append(row)
-    zero = (0,) * n
-    radsq = [[0] * n for _ in range(n)]
-    through = [[zero] * n for _ in range(n)]
+    arrows = [[0] * n for _ in range(n)]
     for i, a in enumerate(order):
         for j, b in enumerate(order):
-            row = [0] * n
+            radsq = 0
             for k, c in enumerate(order):
                 if k != i and k != j and hom[i][k] and hom[k][j]:
-                    key = (a.module, c.module, b.module, c.shift - a.shift, b.shift - a.shift)
+                    key = _bit_key(a, c, b)
                     bit = bits.get(key)
                     if bit is None:
                         bit = bits[key] = _composite(model, a, c, b)
-                    row[k] = bit
-            if any(row):
-                if i == j:
-                    raise InternalCheckError("nonzero radical square on the diagonal")
-                radsq[i][j] = 1
-                through[i][j] = tuple(row)
-    arrows = [[hom[i][j] - radsq[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
+                    radsq |= bit
+            if i != j:
+                arrows[i][j] = hom[i][j] - radsq
+            elif radsq:
+                raise InternalCheckError("nonzero radical square on the diagonal")
     memo[order] = EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),
-        rad_sq_dims=tuple(tuple(r) for r in radsq),
         arrows=tuple(tuple(r) for r in arrows),
-        through_dims=tuple(tuple(r) for r in through),
         total_dim=sum(sum(r) for r in hom),
     )
     return memo[order]
 
 
 def factor_dims(model: DerivedModel, t, M: DVertex):
-    """Dimension matrix of End(t)/(maps through add M), over summands != M."""
+    """Dimension matrix of End(t)/(maps through add M), over summands != M:
+    Hom_C minus the bit of a -> M -> b, which `endo_dims` has cached
+    wherever Hom_C(a, M) and Hom_C(M, b) are nonzero."""
     ed = endo_dims(model, t)
-    k = ed.summands.index(M)  # a ValueError unless M is a summand of t
-    keep = [i for i in range(len(ed.summands)) if i != k]
-    return tuple(
-        tuple(ed.hom_dims[i][j] - ed.through_dims[i][j][k] for j in keep) for i in keep
-    )
+    s, hom, bits = ed.summands, ed.hom_dims, _endos[model][1]
+    k = s.index(M)  # a ValueError unless M is a summand of t
+    keep = [i for i in range(len(s)) if i != k]
+
+    def through(i, j):
+        return hom[i][k] and hom[k][j] and bits[_bit_key(s[i], M, s[j])]
+
+    return tuple(tuple(hom[i][j] - through(i, j) for j in keep) for i in keep)
 
 
 def _submatrix(matrix, idx):

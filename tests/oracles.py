@@ -367,11 +367,11 @@ def orbit_span(model, a, b, mids):
 
 def endo_dims(model, t):
     """End(t) with one span per ordered pair of summands, every other summand
-    a mid of it."""
+    a mid of it, and [i][j][k]: the rank of the maps summand i -> summand j
+    through summand k alone, read off the same spans (0 for k in {i, j})."""
     order = tuple(sorted(t, key=_vkey))
     n = len(order)
     hom = [[0] * n for _ in range(n)]
-    radsq = [[0] * n for _ in range(n)]
     arrows = [[0] * n for _ in range(n)]
     through = [[()] * n for _ in range(n)]
     for i, a in enumerate(order):
@@ -380,16 +380,13 @@ def endo_dims(model, t):
             through[i][j] = tuple(ranks.get(c, 0) for c in order)
             hom[i][j] = sb.width
             if i != j:
-                radsq[i][j] = sb.rank
                 arrows[i][j] = sb.width - sb.rank
     return EndoAlgebraData(
         summands=order,
         hom_dims=tuple(tuple(r) for r in hom),
-        rad_sq_dims=tuple(tuple(r) for r in radsq),
         arrows=tuple(tuple(r) for r in arrows),
-        through_dims=tuple(tuple(r) for r in through),
         total_dim=sum(sum(r) for r in hom),
-    )
+    ), through
 
 
 def factor_dims(model, t, M):

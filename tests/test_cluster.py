@@ -434,9 +434,10 @@ def test_separately_built_models_share_no_h_prime_model():
 def test_layer_caches_release_the_model():
     # graphs, perpendicular data with their vertex images, and the End(T)
     # memo with its composite bits are cached weakly in the model, and no
-    # model sits on a reference cycle, so a dropped model is freed on its
-    # last reference together with the H' models built from it, without the
-    # cyclic collector
+    # model sits on a reference cycle, so a dropped model and its caches are
+    # freed on its last reference together with the H' models built from
+    # it, without the cyclic collector; its ARVertex/DVertex pairs are not,
+    # as they sit on ARVertex.shifts <-> DVertex.module cycles
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -45,11 +45,10 @@ def test_endo_diagonal_is_one(world, name, m):
             assert ed.arrows[i][i] == 0
         for i in range(len(ed.summands)):
             for j in range(len(ed.summands)):
-                assert (
-                    ed.arrows[i][j]
-                    == ed.hom_dims[i][j] - (i == j) - ed.rad_sq_dims[i][j]
-                )
-                assert ed.arrows[i][j] >= 0
+                # rad^2 is Hom_C minus the arrows off the diagonal, and a
+                # subspace of the radical
+                rad_sq = ed.hom_dims[i][j] - (i == j) - ed.arrows[i][j]
+                assert 0 <= rad_sq <= ed.hom_dims[i][j] - (i == j)
 
 
 def test_factor_dims_a2(world):
@@ -169,6 +168,13 @@ def _chain(world):
     )
 
 
+def _factor_expected(ref, through, M):
+    """End(T)/(M) from the oracle: Hom_C minus the rank of the maps through M."""
+    k = ref.summands.index(M)
+    keep = [i for i in range(len(ref.summands)) if i != k]
+    return tuple(tuple(ref.hom_dims[i][j] - through[i][j][k] for j in keep) for i in keep)
+
+
 def test_end_t_reads_the_composite_not_the_dimensions(world, monkeypatch):
     # no composite of summands with three nonzero Hom spaces was ever seen to
     # vanish, so one is forced to zero here: End(T) must follow the
@@ -176,7 +182,7 @@ def test_end_t_reads_the_composite_not_the_dimensions(world, monkeypatch):
     shared, o = _chain(world)
     a, c, b = o.sorted_summands()
     assert shared.hom(a, c) and shared.hom(c, b) and shared.hom(a, b)
-    assert endo_dims(shared, o.summands).rad_sq_dims[0][2] == 1
+    assert endo_dims(shared, o.summands).arrows[0][2] == 0  # a -> b lies in rad^2
     compositions = MeshCategory.compositions
 
     def vanishing(self, x, y, z):
@@ -185,8 +191,13 @@ def test_end_t_reads_the_composite_not_the_dimensions(world, monkeypatch):
     monkeypatch.setattr(MeshCategory, "compositions", vanishing)
     mod = DerivedModel(shared.ar, 1)  # the same vertices, no cached bits
     ed = endo_dims(mod, o.summands)
-    assert ed.rad_sq_dims[0][2] == 0
-    assert ed == oracles.endo_dims(mod, o.summands)
+    assert ed.arrows[0][2] == 1  # now an arrow
+    ref, through = oracles.endo_dims(mod, o.summands)
+    assert ed == ref
+    # and the maps through c follow the table too: a -> b survives in End(T)/(c)
+    assert factor_dims(mod, o.summands, c)[0][1] == 1
+    for M in ref.summands:
+        assert factor_dims(mod, o.summands, M) == _factor_expected(ref, through, M), M.name()
 
 
 @pytest.mark.parametrize("broken", ["wide", "two blocks", "coordinate"])
@@ -219,9 +230,15 @@ def test_end_t_outside_the_0_1_claim_is_an_internal_error(world, monkeypatch, br
     [("A3", 1), ("A3", 2), ("D4", 1), ("D4", 2), ("A4", 2), ("D5", 1), ("E6", 1), ("D5", 2)],
 )
 def test_skipped_spans_change_no_field_of_end_t(world, name, m):
+    # End(T) and, for every summand M, End(T)/(M): Hom_C minus the rank of
+    # the maps through M alone, read off the oracle's End(T) spans
     mod = world(name, m)
     for o in enumerate_maximal_m_rigid(compatibility_graph(mod)):
-        assert endo_dims(mod, o.summands) == oracles.endo_dims(mod, o.summands), o.name()
+        ref, through = oracles.endo_dims(mod, o.summands)
+        assert endo_dims(mod, o.summands) == ref, o.name()
+        for M in ref.summands:
+            expect = _factor_expected(ref, through, M)
+            assert factor_dims(mod, o.summands, M) == expect, (o.name(), M.name())
 
 
 @pytest.mark.parametrize("name,m", [("E6", 1), ("D5", 2)])
