@@ -21,7 +21,7 @@ from .cluster import (
     fundamental_domain,
 )
 from .derived import DerivedModel, DVertex
-from .endo import endo_dims
+from .endo import endo_dims, verify_factor_theorem
 from .errors import CliqueCapExceeded, MClusterError, QuiverError, WindowOverflow
 from .localise import localise_object
 from .quiver import (
@@ -32,7 +32,7 @@ from .quiver import (
     positive_roots,
     preset,
 )
-from .verify import check_pair, run_verify
+from .verify import run_verify
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -311,7 +311,7 @@ def cmd_endo(args):
         at = parse_object_name(model, args.factor_at)
         if at not in obj:
             raise UsageError(f"--factor-at {args.factor_at} is not a summand")
-        rep = check_pair(model, obj, at)
+        rep = verify_factor_theorem(model, obj, at)
         data["factor_at"] = at.name()
         data["factor_dims"] = [list(r) for r in rep.factor_matrix]
         data["localised_dims"] = [list(r) for r in rep.localised_matrix]

@@ -36,6 +36,10 @@ class PerpendicularData:
     module_map: dict[ARVertex, ARVertex]  # U member -> H' module vertex
     # D0 image of each window vertex projected so far (see project_to_D0)
     images: dict = field(default_factory=dict, repr=False, compare=False)
+    # once checked: the (D0 image, H' image) of each summand localised so far
+    # and the pairs of D0 images whose H' Hom_C matches their fingerprint
+    summand_images: dict = field(default_factory=dict, repr=False, compare=False)
+    checked_entries: set = field(default_factory=set, repr=False, compare=False)
 
     def to_prime(self, v: DVertex) -> DVertex:
         """H'-coordinates of a D0 window vertex U[i]."""
@@ -216,30 +220,31 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
     P_i[m] localises like P_i[0].  Verifies every postcondition: images are
     indecomposable, pairwise distinct, land in the fundamental domain of
     H', and form a maximal m-rigid object there, checked against the
-    independently knitted compatibility graph of H'.
+    independently knitted compatibility graph of H'.  The approximation
+    triangle of a summand by the shifts of M and the checks of its image
+    run once per module of M: its perpendicular data keeps checked images.
     """
     t = frozenset(t)
     if M not in t:
         raise ValueError("M must be a summand of t")
     compatibility_graph(model).mask(t)  # a ValueError naming the domain
     pd = perpendicular_algebra(model, M)
-    images = []
-    for x in sorted(t - {M}, key=_vkey):
-        img = project_to_D0(model, x, pd)
-        if list(img.values()) != [1]:
-            raise InternalCheckError(f"image of {x} is not indecomposable: {img}")
-        images.append(next(iter(img)))
+    g = compatibility_graph(pd.prime_model)
+    xs = sorted(t - {M}, key=_vkey)
+    for x in xs:
+        if x not in pd.summand_images:
+            _, img = approximation_triangle(model, x, pd)
+            if list(img.values()) != [1]:
+                raise InternalCheckError(f"image of {x} is not indecomposable: {img}")
+            [v] = img
+            p = pd.to_prime(v)
+            if p not in g.index:
+                raise InternalCheckError(f"image {v} is outside the fundamental domain of H'")
+            pd.summand_images[x] = v, p
+    images = [pd.summand_images[x][0] for x in xs]
     if len(set(images)) != len(images):
         raise InternalCheckError("two summands collapsed under localisation")
-
-    g = compatibility_graph(pd.prime_model)
-    prime = []
-    for v in images:
-        p = pd.to_prime(v)
-        if p not in g.index:
-            raise InternalCheckError(f"image {v} is outside the fundamental domain of H'")
-        prime.append(p)
-    prime_set = frozenset(prime)
+    prime_set = frozenset(pd.summand_images[x][1] for x in xs)
     clique, maximal = g.clique_and_maximal(prime_set)
     if not clique:
         raise InternalCheckError("localised object is not m-rigid over H'")

@@ -22,9 +22,8 @@ from .cluster import (
     tilting_modules,
 )
 from .derived import DerivedModel, DVertex
-from .endo import FactorReport, verify_factor_theorem
+from .endo import verify_factor_theorem
 from .errors import InternalCheckError, WindowOverflow
-from .localise import approximation_triangle
 from .quiver import Quiver, euler_form
 
 
@@ -231,35 +230,25 @@ def _pair(report: VerificationReport, o, x: DVertex) -> str:
     return f"{x} in {o.name()}, {report.quiver} m={report.m} (reproduce: {line})"
 
 
-def check_pair(model: DerivedModel, t, M: DVertex) -> FactorReport:
-    """Check the factor theorem for the maximal object t at its summand M,
-    both named in the fundamental domain of model, and build the
-    approximation triangle of every other summand by the shifts of M;
-    raises where a check does."""
-    rep = verify_factor_theorem(model, t, M)
-    for x in sorted(t - {M}, key=lambda u: u.name()):
-        approximation_triangle(model, x, rep.localised.pd)
-    return rep
-
-
 def check_localisation_and_factor(model: DerivedModel, objs, report: VerificationReport):
-    """Check the factor theorem for every object at every summand M, read
-    the localisation at M off its report, and build the approximation
-    triangle of every other summand by the shifts of M.
+    """Check the factor theorem for every object at every summand M, and
+    read the localisation at M off its report.
 
     Every (object, summand) pair is checked in model, as enumerated, the
-    pairs at some P_i[m] included.  A pair whose check raises (an internal
-    check, or a step out of the window that m fixes) fails both sweeps, a
-    localised object of the wrong size fails the localisation sweep and a
-    disagreement fails the factor sweep.  Each kind is reported with its
-    count and its first pair."""
+    pairs at some P_i[m] included; the checks of each summand's image (its
+    approximation triangle among them) and of each localised Hom entry run
+    once per module of M, and every pair that reads a failing one raises.
+    A pair whose check raises (an internal check, or a step out of the
+    window that m fixes) fails both sweeps, a localised object of the wrong
+    size fails the localisation sweep and a disagreement fails the factor
+    sweep.  Each kind is reported with its count and its first pair."""
     n = model.quiver.n
     pairs = sum(len(o.summands) for o in objs)
     raised, short, disagree = _Failures(), _Failures(), _Failures()
     for o in objs:
         for M in sorted(o.summands, key=lambda u: u.name()):
             try:
-                rep = check_pair(model, o.summands, M)
+                rep = verify_factor_theorem(model, o.summands, M)
             except (InternalCheckError, WindowOverflow, ValueError) as exc:
                 raised.add(f"{exc} at {_pair(report, o, M)}")
                 continue

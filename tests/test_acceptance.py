@@ -4,11 +4,12 @@ them).  All tolerances are exact.
 """
 
 import json
+import re
 import shlex
 
 import pytest
 
-from mcluster import cli, verify
+from mcluster import cli, localise, verify
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     compatibility_graph,
@@ -25,7 +26,12 @@ from mcluster.errors import InternalCheckError, WindowOverflow
 from mcluster.localise import localise_object
 from mcluster.meshcat import MeshCategory
 from mcluster.quiver import euler_form, make_quiver, preset
-from mcluster.verify import VerificationReport, check_derived_invariants, run_verify
+from mcluster.verify import (
+    VerificationReport,
+    check_derived_invariants,
+    check_localisation_and_factor,
+    run_verify,
+)
 
 from oracles import (
     compatible,
@@ -355,7 +361,7 @@ def test_the_sweep_counts_every_failing_pair_and_prints_a_reproducer(monkeypatch
             raise InternalCheckError(f"broken at {M}")
         return verify_factor_theorem(model, t, M)
 
-    monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
+    _patch_factor_step(monkeypatch, flaky)
     sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     ok, details = sweeps["factor-theorem-sweep"]
     assert not ok and sweeps["localisation-sweep"] == (False, details)
@@ -390,6 +396,13 @@ def test_a_cluster_tilting_disagreement_fails_its_check(monkeypatch):
     ]
 
 
+def _patch_factor_step(monkeypatch, step):
+    """Patch the one pair check that the sweep and `endo --factor-at` share."""
+    assert cli.verify_factor_theorem is verify.verify_factor_theorem
+    monkeypatch.setattr(verify, "verify_factor_theorem", step)
+    monkeypatch.setattr(cli, "verify_factor_theorem", step)
+
+
 def _fail_once(monkeypatch, exc):
     """Make the factor step raise exc at the first pair it is called on."""
     calls = []
@@ -400,7 +413,7 @@ def _fail_once(monkeypatch, exc):
             raise exc
         return verify_factor_theorem(model, t, M)
 
-    monkeypatch.setattr(verify, "verify_factor_theorem", flaky)
+    _patch_factor_step(monkeypatch, flaky)
 
 
 def test_a_window_overflow_fails_one_pair(monkeypatch, capsys):
@@ -497,18 +510,18 @@ def test_serre_duality_reads_the_inverse_translate():
 
 
 def test_a_localisation_of_the_wrong_size_fails_only_its_sweep(monkeypatch):
-    check, short = verify.check_pair, []
+    short = []
 
     def flaky(model, t, M):
         # one H' summand dropped from the first pair checked
-        rep = check(model, t, M)
+        rep = verify_factor_theorem(model, t, M)
         if not short:
             short.append(M)
             loc = rep.localised
             loc.prime_summands -= {next(iter(loc.prime_summands))}
         return rep
 
-    monkeypatch.setattr(verify, "check_pair", flaky)
+    _patch_factor_step(monkeypatch, flaky)
     sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     assert sweeps["factor-theorem-sweep"] == (True, "42 pairs checked")
     assert sweeps["localisation-sweep"] == (
@@ -517,6 +530,51 @@ def test_a_localisation_of_the_wrong_size_fails_only_its_sweep(monkeypatch):
         'A3 m=1 (reproduce: mcluster endo A3 --m 1 --object "001[0],011[0],111[0]" '
         '--factor-at "001[0]"); 1 of 42 localisations have the wrong size',
     )
+
+
+def _a3_m2_failure_counts():
+    """The failure counts of the two sweeps over A3 m=2, as its details give them."""
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    report = VerificationReport("A3", 2)
+    objs = enumerate_maximal_m_rigid(compatibility_graph(model))
+    check_localisation_and_factor(model, objs, report)
+    return {name: re.findall(r"\d+ of 165 [a-z ]+", d) for name, _, d in report.checks}
+
+
+def test_the_localisation_memos_hide_no_failure(monkeypatch):
+    # a summand's localisation and each localised Hom entry are checked once
+    # per module of M and kept only once they pass, so one that fails fails
+    # every pair that reads it, at every shift of M: the counts below are
+    # those of a sweep that checks them afresh for every pair
+    triangle = localise.approximation_triangle
+
+    def broken_triangle(model, x, pd):
+        # 001[2] by the shifts of 010, read by 6 pairs at 010[0] and 010[1]
+        if (x.name(), pd.base_module.name) == ("001[2]", "010"):
+            raise InternalCheckError("broken triangle")
+        return triangle(model, x, pd)
+
+    monkeypatch.setattr(localise, "approximation_triangle", broken_triangle)
+    failed = ["6 of 165 pairs failed"]
+    expected = {"localisation-sweep": failed, "factor-theorem-sweep": failed}
+    assert _a3_m2_failure_counts() == expected
+    monkeypatch.undo()
+
+    hom = DerivedModel.hom
+
+    def broken_hom(model, a, b):
+        # 111[4] is the D0 image of G(100[1]) at 010 and of G(110[1]) at 100,
+        # so the entries (111[0], 100[1]) and (111[0], 110[1]) fail, each read
+        # by two pairs; Hom_C(111[0], 100[1]) in End(T) reads it too, so
+        # three pairs disagree
+        return hom(model, a, b) + ((a.name(), b.name()) == ("111[0]", "111[4]"))
+
+    monkeypatch.setattr(DerivedModel, "hom", broken_hom)
+    failed = ["4 of 165 pairs failed"]
+    assert _a3_m2_failure_counts() == {
+        "localisation-sweep": failed,
+        "factor-theorem-sweep": failed + ["3 of 165 pairs disagree"],
+    }
 
 
 def test_two_nonzero_orbit_terms_fail_one_triple(monkeypatch):

@@ -206,7 +206,8 @@ def test_verify_json_deterministic():
 
 
 @pytest.mark.parametrize(
-    "name,m", [("A1", 2), ("A3", 2), ("A3", 4), ("D4", 1), ("D4", 2), ("D5", 1)]
+    "name,m",
+    [("A1", 2), ("A3", 2), ("A3", 4), ("D4", 1), ("D4", 2), ("D5", 1), ("E6", 1), ("D5", 2)],
 )
 def test_verify_all_json_matches_golden(name, m):
     out = run_cli("verify", "all", name, "--m", str(m), "--json")
@@ -298,7 +299,7 @@ def test_window_overflow_is_resource_exit(monkeypatch, capsys):
     def overflow(model, t, M):
         raise WindowOverflow("G-image outside the window")
 
-    monkeypatch.setattr(cli, "check_pair", overflow)
+    monkeypatch.setattr(cli, "verify_factor_theorem", overflow)
     capsys.readouterr()
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "out of range: G-image outside the window\n"

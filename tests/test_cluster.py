@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from mcluster import endo
+from mcluster import endo, localise
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import (
     CompatibilityGraph,
@@ -432,8 +432,9 @@ def test_separately_built_models_share_no_h_prime_model():
 
 
 def test_layer_caches_release_the_model():
-    # graphs, perpendicular data with their vertex images, and the End(T)
-    # memo with its composite bits are cached weakly in the model, and no
+    # graphs, perpendicular data with their vertex images and checked
+    # localisations, and the End(T) memo with its composite bits are cached
+    # weakly in the model, and no
     # model sits on a reference cycle, so a dropped model and its caches are
     # freed on its last reference together with the H' models built from
     # it, without the cyclic collector; its ARVertex/DVertex pairs are not,
@@ -441,14 +442,16 @@ def test_layer_caches_release_the_model():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        held = len(endo._endos)
+        held = len(endo._endos), len(localise._perpendicular)
         model = DerivedModel(knit_module_category(preset("D4")), 1)
         g = compatibility_graph(model)
         refs = [weakref.ref(model)]
         for o in enumerate_maximal_m_rigid(g):
             M = min(o.summands, key=_vkey)
             rep = verify_factor_theorem(model, o.summands, M)
-            assert model in endo._endos and rep.localised.pd.images
+            pd = rep.localised.pd
+            assert model in endo._endos and pd.images
+            assert pd.summand_images and pd.checked_entries
         assert all(endo._endos[model])  # End(T) memo and bits both filled
         for v in model.ar.vertices:
             pd = perpendicular_algebra(model, DVertex(v, 0))
@@ -458,7 +461,8 @@ def test_layer_caches_release_the_model():
         del model, g, o, pd, rep
         alive = [r() for r in refs if r() is not None]
         assert not alive, f"{len(alive)} of {len(refs)} models outlive their last reference"
-        assert len(endo._endos) == held  # their memos and bits went with them
+        # their memos, bits and perpendicular data went with them
+        assert (len(endo._endos), len(localise._perpendicular)) == held
     finally:
         if enabled:
             gc.enable()

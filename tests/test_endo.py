@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from mcluster import endo
+from mcluster import endo, localise
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import compatibility_graph, enumerate_maximal_m_rigid
 from mcluster.derived import DerivedModel, DVertex, _vkey
@@ -157,6 +157,36 @@ def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
     factor_dims(mod, t, second)
     verify_factor_theorem(mod, t, second)
     assert computed() == bits_of_t
+
+
+def test_localisation_checks_run_once_per_module_of_m(monkeypatch):
+    # over every pair of D4 m=2, the approximation triangle runs once per
+    # (summand, module of M) and the fingerprint once per (image, image,
+    # module of M), however many objects and shifts X[0..m] of M read them
+    triangles, entries = [], []
+    triangle, fingerprint = localise.approximation_triangle, endo._fingerprint
+
+    def counted_triangle(model, x, pd):
+        triangles.append((x, pd.base_module))
+        return triangle(model, x, pd)
+
+    def counted_fingerprint(model, ya, yb, pd):
+        entries.append((ya, yb, pd.base_module))
+        return fingerprint(model, ya, yb, pd)
+
+    monkeypatch.setattr(localise, "approximation_triangle", counted_triangle)
+    monkeypatch.setattr(endo, "_fingerprint", counted_fingerprint)
+    mod = DerivedModel(knit_module_category(preset("D4")), 2)
+    objs = enumerate_maximal_m_rigid(compatibility_graph(mod))
+    for o in objs:
+        for M in o.summands:
+            assert verify_factor_theorem(mod, o.summands, M).ok
+    assert len(set(triangles)) == len(triangles)
+    assert len(set(entries)) == len(entries)
+    # the memos are read: checking every pair afresh would run 3 triangles
+    # and 9 entries at each of the 4 summands of each object
+    assert 0 < 5 * len(triangles) < 3 * 4 * len(objs)
+    assert 0 < 5 * len(entries) < 9 * 4 * len(objs)
 
 
 def _chain(world):
