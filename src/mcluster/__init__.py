@@ -19,12 +19,7 @@ from .cluster import (
     tilting_modules,
 )
 from .derived import DerivedModel, DVertex
-from .endo import (
-    EndoAlgebraData,
-    endo_dims,
-    factor_dims,
-    verify_factor_theorem,
-)
+from .endo import EndoAlgebraData, endo_dims, verify_factor_theorem
 from .errors import (
     CliqueCapExceeded,
     CyclicQuiver,

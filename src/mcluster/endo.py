@@ -15,10 +15,11 @@ and it is cached per model under that key.
 
 rad^2(a, b) is the OR of the bits over the other summands c, and the
 Gabriel arrows are Hom_C minus rad^2; End(T) keeps only its Hom table and
-arrows.  The factor theorem compares the quotient by maps through a chosen
-summand, read from the cached bits, with the endomorphism data of the
-localised object; both sides are read off End(T), which is computed once
-per model and object.
+arrows, and is computed once per model and object.  The factor theorem
+compares End(T)/(M), Hom_C minus the cached bit of a -> M -> b, with
+End(T') of the localised object T' in the H' model.  Each pair reads End(T)
+and End(T') once, and matches their rows through the images of the
+summands that localisation records.
 """
 
 from __future__ import annotations
@@ -120,25 +121,6 @@ def endo_dims(model: DerivedModel, t) -> EndoAlgebraData:
     return memo[order]
 
 
-def factor_dims(model: DerivedModel, t, M: DVertex):
-    """Dimension matrix of End(t)/(maps through add M), over summands != M:
-    Hom_C minus the bit of a -> M -> b, which `endo_dims` has cached
-    wherever Hom_C(a, M) and Hom_C(M, b) are nonzero."""
-    ed = endo_dims(model, t)
-    s, hom, bits = ed.summands, ed.hom_dims, _endos[model][1]
-    k = s.index(M)  # a ValueError unless M is a summand of t
-    keep = [i for i in range(len(s)) if i != k]
-
-    def through(i, j):
-        return hom[i][k] and hom[k][j] and bits[_bit_key(s[i], M, s[j])]
-
-    return tuple(tuple(hom[i][j] - through(i, j) for j in keep) for i in keep)
-
-
-def _submatrix(matrix, idx):
-    return tuple(tuple(matrix[i][j] for j in idx) for i in idx)
-
-
 @dataclass
 class FactorReport:
     localised: LocalisedObject
@@ -146,12 +128,12 @@ class FactorReport:
     localised_matrix: tuple
     factor_arrow_counts: tuple
     localised_arrow_counts: tuple
-    dims_agree: bool
-    arrows_agree: bool
 
     @property
     def ok(self) -> bool:
-        return self.dims_agree and self.arrows_agree
+        return (self.factor_matrix, self.factor_arrow_counts) == (
+            self.localised_matrix, self.localised_arrow_counts
+        )
 
 
 def _fingerprint(model: DerivedModel, ya, yb, pd) -> int:
@@ -167,36 +149,41 @@ def verify_factor_theorem(model: DerivedModel, t, M: DVertex) -> FactorReport:
     Both the dimension matrices and the Gabriel arrow counts must agree.
     The localised side is read off the H' model; each Hom_C entry is checked
     against the D0 fingerprint once per pair of images and module of M.
+    The factor entry of a, b is Hom_C(a, b) minus the bit of a -> M -> b,
+    which `endo_dims` has cached wherever Hom_C(a, M) and Hom_C(M, b) are
+    nonzero.
 
     A map a -> b through M lies in rad^2 when a, b != M, so the arrows of
     End(t)/(M) are those of End(t) without the row and column of M.
     """
     t = frozenset(t)
     loc = localise_object(model, t, M)
-    fmat = factor_dims(model, t, M)
     ed = endo_dims(model, t)
-    farrows = _submatrix(ed.arrows, [i for i, v in enumerate(ed.summands) if v != M])
-
-    pd, images = loc.pd, loc.images
+    pd = loc.pd
     pdata = endo_dims(pd.prime_model, loc.prime_summands)
-    # endo_dims sorts its summands; map back to our image order
-    perm = [pdata.summands.index(pd.to_prime(v)) for v in images]
-    lmat = _submatrix(pdata.hom_dims, perm)
-    larrows = _submatrix(pdata.arrows, perm)
-    for ya, row in zip(images, lmat):
-        for yb, entry in zip(images, row):
-            if (ya, yb) not in pd.checked_entries and entry != _fingerprint(model, ya, yb, pd):
-                raise InternalCheckError(
-                    "localised dimensions disagree between the D0 fingerprint and the H' model"
-                )
-            pd.checked_entries.add((ya, yb))
-
-    return FactorReport(
-        localised=loc,
-        factor_matrix=fmat,
-        localised_matrix=lmat,
-        factor_arrow_counts=farrows,
-        localised_arrow_counts=larrows,
-        dims_agree=fmat == lmat,
-        arrows_agree=farrows == larrows,
-    )
+    s, hom, bits = ed.summands, ed.hom_dims, _endos[model][1]
+    k = s.index(M)
+    prime_row = {p: r for r, p in enumerate(pdata.summands)}
+    # each summand other than M: its row in End(t), its D0 image and its row
+    # in End(t'); localise_object has recorded both images
+    rest = []
+    for i, x in enumerate(s):
+        if i != k:
+            y, p = pd.summand_images[x]
+            rest.append((i, y, prime_row[p]))
+    mats = ([], [], [], [])  # factor and localised Hom_C, then their arrows
+    for i, ya, pa in rest:
+        cells = []
+        for j, yb, pb in rest:
+            entry = pdata.hom_dims[pa][pb]
+            if (ya, yb) not in pd.checked_entries:
+                if entry != _fingerprint(model, ya, yb, pd):
+                    raise InternalCheckError(
+                        "localised dimensions disagree between the D0 fingerprint and the H' model"
+                    )
+                pd.checked_entries.add((ya, yb))
+            through = hom[i][k] and hom[k][j] and bits[_bit_key(s[i], M, s[j])]
+            cells.append((hom[i][j] - through, entry, ed.arrows[i][j], pdata.arrows[pa][pb]))
+        for mat, row in zip(mats, zip(*cells)):
+            mat.append(row)
+    return FactorReport(loc, *map(tuple, mats))

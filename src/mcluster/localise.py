@@ -208,7 +208,6 @@ def approximation_triangle(
 @dataclass
 class LocalisedObject:
     pd: PerpendicularData
-    images: list[DVertex]  # D0 images of t - M, in _vkey order of t - M
     prime_summands: frozenset[DVertex]  # in the H' model
 
 
@@ -241,13 +240,14 @@ def localise_object(model: DerivedModel, t, M: DVertex) -> LocalisedObject:
             if p not in g.index:
                 raise InternalCheckError(f"image {v} is outside the fundamental domain of H'")
             pd.summand_images[x] = v, p
-    images = [pd.summand_images[x][0] for x in xs]
-    if len(set(images)) != len(images):
-        raise InternalCheckError("two summands collapsed under localisation")
+    # to_prime is one to one (perpendicular_algebra checks module_map), so
+    # two summands share an H' image exactly when they share a D0 image
     prime_set = frozenset(pd.summand_images[x][1] for x in xs)
+    if len(prime_set) != len(xs):
+        raise InternalCheckError("two summands collapsed under localisation")
     clique, maximal = g.clique_and_maximal(prime_set)
     if not clique:
         raise InternalCheckError("localised object is not m-rigid over H'")
     if not maximal:
         raise InternalCheckError("localised object is not maximal over H'")
-    return LocalisedObject(pd=pd, images=images, prime_summands=prime_set)
+    return LocalisedObject(pd=pd, prime_summands=prime_set)

@@ -6,6 +6,7 @@ them).  All tolerances are exact.
 import json
 import re
 import shlex
+from dataclasses import replace
 
 import pytest
 
@@ -224,7 +225,9 @@ def test_criterion_7_factor_theorem(world):
         for t, M in _pairs(mod):
             rep = verify_factor_theorem(mod, t, M)
             runs += 1
-            if not (rep.dims_agree and rep.arrows_agree):
+            if (rep.factor_matrix, rep.factor_arrow_counts) != (
+                rep.localised_matrix, rep.localised_arrow_counts
+            ):
                 ok = False
     _report(
         "criterion-7 factor theorem",
@@ -320,11 +323,21 @@ def _sweeps(rep):
 
 
 def test_a_factor_disagreement_fails_only_the_factor_sweep(monkeypatch):
-    read = endo.factor_dims
-    monkeypatch.setattr(
-        endo, "factor_dims",
-        lambda *args: tuple(tuple(d + 1 for d in row) for row in read(*args)),
-    )
+    # End(a) of dimension 2 for each summand a in the model of A3 itself: the
+    # diagonal of each factor algebra is off by one, while the arrows,
+    # End(T') in the H' models of rank 2 and every localisation check are not
+    read = endo.endo_dims
+
+    def bumped(model, t):
+        ed = read(model, t)
+        if model.quiver.n == 2:
+            return ed
+        hom = ed.hom_dims
+        return replace(ed, hom_dims=tuple(
+            tuple(d + (i == j) for j, d in enumerate(row)) for i, row in enumerate(hom)
+        ))
+
+    monkeypatch.setattr(endo, "endo_dims", bumped)
     sweeps = _sweeps(run_verify(preset("A3"), "A3", 1, "all"))
     assert sweeps["localisation-sweep"] == (True, "42 localisations")
     ok, details = sweeps["factor-theorem-sweep"]
@@ -574,6 +587,35 @@ def test_the_localisation_memos_hide_no_failure(monkeypatch):
     assert _a3_m2_failure_counts() == {
         "localisation-sweep": failed,
         "factor-theorem-sweep": failed + ["3 of 165 pairs disagree"],
+    }
+
+
+def test_two_summands_with_one_image_fail_their_pair(monkeypatch):
+    # the cone of one summand handed to another at the module of M: the
+    # localisation refuses the object, and verify all counts the pair, the
+    # first it checks, among the pairs failed
+    model = DerivedModel(knit_module_category(preset("A3")), 2)
+    o = enumerate_maximal_m_rigid(compatibility_graph(model))[0]
+    M, x, y = sorted(o.summands, key=lambda u: u.name())
+    triangle = localise.approximation_triangle
+
+    def merged(model, v, pd):
+        if (v.name(), pd.base_module.name) == (y.name(), M.module.name):
+            v = DVertex(model.ar.by_dim[x.module.dim], x.shift)
+        return triangle(model, v, pd)
+
+    monkeypatch.setattr(localise, "approximation_triangle", merged)
+    collapsed = "two summands collapsed under localisation"
+    with pytest.raises(InternalCheckError, match=collapsed):
+        localise_object(model, o.summands, M)
+    failed = (
+        f"{collapsed} at 001[0] in 001[0] + 011[0] + 111[0], A3 m=2 (reproduce: "
+        'mcluster endo A3 --m 2 --object "001[0],011[0],111[0]" --factor-at "001[0]"); '
+        "3 of 165 pairs failed"
+    )
+    assert _sweeps(run_verify(preset("A3"), "A3", 2, "all")) == {
+        "localisation-sweep": (False, failed),
+        "factor-theorem-sweep": (False, failed),
     }
 
 

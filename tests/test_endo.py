@@ -7,7 +7,7 @@ from mcluster import endo, localise
 from mcluster.arquiver import knit_module_category
 from mcluster.cluster import compatibility_graph, enumerate_maximal_m_rigid
 from mcluster.derived import DerivedModel, DVertex, _vkey
-from mcluster.endo import endo_dims, factor_dims, verify_factor_theorem
+from mcluster.endo import endo_dims, verify_factor_theorem
 from mcluster.errors import InternalCheckError
 from mcluster.meshcat import MeshCategory
 from mcluster.quiver import preset
@@ -54,7 +54,7 @@ def test_endo_diagonal_is_one(world, name, m):
 def test_factor_dims_a2(world):
     mod = world("A2", 1)
     t = frozenset([V(mod, (1, 1)), V(mod, (0, 1))])
-    mat = factor_dims(mod, t, V(mod, (1, 1)))
+    mat = verify_factor_theorem(mod, t, V(mod, (1, 1))).factor_matrix
     assert mat == ((1,),)
 
 
@@ -63,7 +63,7 @@ def test_factor_keeps_diagonal(world):
     g = compatibility_graph(mod)
     for o in enumerate_maximal_m_rigid(g):
         for M in sorted(o.summands, key=lambda v: v.name()):
-            mat = factor_dims(mod, o.summands, M)
+            mat = verify_factor_theorem(mod, o.summands, M).factor_matrix
             for i in range(len(mat)):
                 assert mat[i][i] >= 1
 
@@ -82,7 +82,7 @@ def test_factor_isolated_summand_equals_restriction(world):
                 for j in range(len(ed.summands))
             ):
                 rest = [v for v in ed.summands if v != M]
-                mat = factor_dims(mod, o.summands, M)
+                mat = verify_factor_theorem(mod, o.summands, M).factor_matrix
                 expect = tuple(
                     tuple(
                         ed.hom_dims[ed.summands.index(a)][ed.summands.index(b)]
@@ -111,8 +111,8 @@ def test_factor_theorem_sweep(world, name, m):
     for o in enumerate_maximal_m_rigid(g):
         for M in sorted(o.summands, key=lambda v: v.name()):
             rep = verify_factor_theorem(mod, o.summands, M)
-            assert rep.dims_agree, (o.name(), M.name())
-            assert rep.arrows_agree, (o.name(), M.name())
+            assert rep.factor_matrix == rep.localised_matrix, (o.name(), M.name())
+            assert rep.factor_arrow_counts == rep.localised_arrow_counts, (o.name(), M.name())
 
 
 def test_factor_additivity_of_quotient(world):
@@ -123,7 +123,7 @@ def test_factor_additivity_of_quotient(world):
     order = sorted(o.summands, key=lambda v: v.name())
     for M in order:
         rest = [v for v in order if v != M]
-        mat = factor_dims(mod, o.summands, M)
+        mat = verify_factor_theorem(mod, o.summands, M).factor_matrix
         for i, a in enumerate(rest):
             for j, b in enumerate(rest):
                 sb, _ = oracles.orbit_span(mod, a, b, [M])
@@ -133,8 +133,8 @@ def test_factor_additivity_of_quotient(world):
 
 def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
     # End(T) is built once per object, with at most one composite bit per
-    # triple of summands; the factor algebra at a second summand, and the
-    # whole factor theorem there, compute no further bit over T's model
+    # triple of summands; the factor theorem at a second summand, its factor
+    # algebra included, computes no further bit over T's model
     bits = []
     composite = endo._composite
 
@@ -154,9 +154,29 @@ def test_factor_algebras_are_read_off_one_end_t(monkeypatch):
     verify_factor_theorem(mod, t, first)
     bits_of_t = computed()
     assert 0 < bits_of_t <= len(t) ** 3
-    factor_dims(mod, t, second)
-    verify_factor_theorem(mod, t, second)
+    assert verify_factor_theorem(mod, t, second).factor_matrix
     assert computed() == bits_of_t
+
+
+def test_the_factor_theorem_reads_each_end_once(world, monkeypatch):
+    # with End(T) and End(T') cached, one pair reads each once: End(T) in
+    # the model of T, End(T') in the H' model
+    mod = world("D4", 2)
+    o = enumerate_maximal_m_rigid(compatibility_graph(mod))[0]
+    M = min(o.summands, key=_vkey)
+    verify_factor_theorem(mod, o.summands, M)
+    reads = []
+    read = endo.endo_dims
+
+    def counted(model, t):
+        reads.append(model)
+        return read(model, t)
+
+    monkeypatch.setattr(endo, "endo_dims", counted)
+    rep = verify_factor_theorem(mod, o.summands, M)
+    assert rep.ok
+    assert len(reads) == 2
+    assert reads[0] is mod and reads[1] is rep.localised.pd.prime_model
 
 
 def test_localisation_checks_run_once_per_module_of_m(monkeypatch):
@@ -225,9 +245,10 @@ def test_end_t_reads_the_composite_not_the_dimensions(world, monkeypatch):
     ref, through = oracles.endo_dims(mod, o.summands)
     assert ed == ref
     # and the maps through c follow the table too: a -> b survives in End(T)/(c)
-    assert factor_dims(mod, o.summands, c)[0][1] == 1
+    assert verify_factor_theorem(mod, o.summands, c).factor_matrix[0][1] == 1
     for M in ref.summands:
-        assert factor_dims(mod, o.summands, M) == _factor_expected(ref, through, M), M.name()
+        rep = verify_factor_theorem(mod, o.summands, M)
+        assert rep.factor_matrix == _factor_expected(ref, through, M), M.name()
 
 
 @pytest.mark.parametrize("broken", ["wide", "two blocks", "coordinate"])
@@ -268,7 +289,8 @@ def test_skipped_spans_change_no_field_of_end_t(world, name, m):
         assert endo_dims(mod, o.summands) == ref, o.name()
         for M in ref.summands:
             expect = _factor_expected(ref, through, M)
-            assert factor_dims(mod, o.summands, M) == expect, (o.name(), M.name())
+            rep = verify_factor_theorem(mod, o.summands, M)
+            assert rep.factor_matrix == expect, (o.name(), M.name())
 
 
 @pytest.mark.parametrize("name,m", [("E6", 1), ("D5", 2)])
